@@ -9,7 +9,7 @@
 use std::hint::black_box;
 
 use redsim_bench::Harness;
-use redsim_core::{ExecMode, FaultConfig, MachineConfig, Simulator, SliceSource};
+use redsim_core::{ExecMode, FaultConfig, MachineConfig, Simulator, TraceSource};
 use redsim_irb::{IrbConfig, PortConfig, ReusePolicy};
 use redsim_util::bench;
 use redsim_workloads::Workload;
@@ -27,7 +27,7 @@ fn fig2_smoke() {
             base.clone().with_double_ruu(),
             base.clone().with_double_widths(),
         ] {
-            let mut src = SliceSource::new(&trace);
+            let mut src = TraceSource::new(&trace);
             black_box(
                 Simulator::new(cfg, ExecMode::Die)
                     .run_source(&mut src)
@@ -44,7 +44,7 @@ fn recovery_smoke() {
     let trace = h.trace(APP);
     let r = bench(1, 10, || {
         for mode in [ExecMode::Sie, ExecMode::Die, ExecMode::DieIrb] {
-            let mut src = SliceSource::new(&trace);
+            let mut src = TraceSource::new(&trace);
             black_box(
                 Simulator::new(base.clone(), mode)
                     .run_source(&mut src)
@@ -81,7 +81,7 @@ fn irb_sweep_smoke() {
         ] {
             let mut cfg = base.clone();
             cfg.irb = irb;
-            let mut src = SliceSource::new(&trace);
+            let mut src = TraceSource::new(&trace);
             black_box(
                 Simulator::new(cfg, ExecMode::DieIrb)
                     .run_source(&mut src)
@@ -97,7 +97,7 @@ fn faults_smoke() {
     let base = MachineConfig::paper_baseline();
     let trace = h.trace(APP);
     let r = bench(1, 10, || {
-        let mut src = SliceSource::new(&trace);
+        let mut src = TraceSource::new(&trace);
         black_box(
             Simulator::new(base.clone(), ExecMode::Die)
                 .try_with_faults(FaultConfig {
@@ -119,7 +119,7 @@ fn extensions_smoke() {
     let trace = h.trace(APP);
     let r = bench(1, 10, || {
         // Clustered alternative.
-        let mut src = SliceSource::new(&trace);
+        let mut src = TraceSource::new(&trace);
         black_box(
             Simulator::new(base.clone(), ExecMode::DieCluster)
                 .run_source(&mut src)
@@ -132,7 +132,7 @@ fn extensions_smoke() {
         ] {
             let mut cfg = base.clone();
             cfg.scheduler = m;
-            let mut src = SliceSource::new(&trace);
+            let mut src = TraceSource::new(&trace);
             black_box(
                 Simulator::new(cfg, ExecMode::DieIrb)
                     .run_source(&mut src)
@@ -143,7 +143,7 @@ fn extensions_smoke() {
         let mut cfg = base.clone();
         cfg.wrong_path_fetch = true;
         cfg.stl_forwarding = true;
-        let mut src = SliceSource::new(&trace);
+        let mut src = TraceSource::new(&trace);
         black_box(
             Simulator::new(cfg, ExecMode::Die)
                 .run_source(&mut src)

@@ -18,7 +18,7 @@ use std::hint::black_box;
 
 use redsim_core::{
     ExecMode, HostProfiler, Instrumentation, MachineConfig, NullMetrics, NullTracer, Simulator,
-    SliceSource,
+    TraceSource,
 };
 use redsim_irb::{IrbConfig, IrbEntry, ReuseBuffer};
 use redsim_mem::{Hierarchy, HierarchyConfig};
@@ -83,7 +83,7 @@ fn simulation_throughput(cases: &mut Vec<Case>, iters: (u32, u32)) {
     let w = Workload::Gzip;
     let program = w.program(w.tiny_params()).unwrap();
     let trace = redsim_isa::emu::Emulator::new(&program)
-        .run_trace(100_000_000)
+        .record_trace(100_000_000)
         .unwrap();
     let cfg = MachineConfig::paper_baseline();
     for (mode, id) in [
@@ -92,7 +92,7 @@ fn simulation_throughput(cases: &mut Vec<Case>, iters: (u32, u32)) {
         (ExecMode::DieIrb, "sim.die-irb.gzip.tiny"),
     ] {
         let r = bench(iters.0, iters.1, || {
-            let mut src = SliceSource::new(&trace);
+            let mut src = TraceSource::new(&trace);
             black_box(
                 Simulator::new(cfg.clone(), mode)
                     .run_source(&mut src)
@@ -113,7 +113,7 @@ fn simulation_throughput(cases: &mut Vec<Case>, iters: (u32, u32)) {
         (ExecMode::DieIrb, "sim.die-irb.gzip.tiny.2xruu"),
     ] {
         let r = bench(iters.0, iters.1, || {
-            let mut src = SliceSource::new(&trace);
+            let mut src = TraceSource::new(&trace);
             black_box(
                 Simulator::new(big.clone(), mode)
                     .run_source(&mut src)
@@ -201,11 +201,11 @@ fn host_phase_profile() -> Json {
     let w = Workload::Gzip;
     let program = w.program(w.tiny_params()).unwrap();
     let trace = redsim_isa::emu::Emulator::new(&program)
-        .run_trace(100_000_000)
+        .record_trace(100_000_000)
         .unwrap();
     let mut prof = HostProfiler::default();
     let mut tracer = NullTracer;
-    let mut src = SliceSource::new(&trace);
+    let mut src = TraceSource::new(&trace);
     Simulator::new(MachineConfig::paper_baseline(), ExecMode::DieIrb)
         .run_source_instrumented(
             &mut src,

@@ -32,7 +32,7 @@
 //!
 //! The binaries build their experiment grid as a list of [`Job`]s and
 //! hand it to [`Harness::sweep`], which materializes each workload's
-//! committed trace once (shared as `Arc<[DynInst]>`) and runs the grid
+//! committed trace once (shared as a packed `Arc<Trace>`) and runs the grid
 //! in parallel.
 
 use std::collections::HashMap;
@@ -42,9 +42,9 @@ use std::sync::{Arc, OnceLock};
 
 use redsim_core::{
     ExecMode, FaultConfig, Instrumentation, MachineConfig, MetricsCollector, NullTracer, SimStats,
-    Simulator, SliceSource, StallSummary, Throughput, WindowSample,
+    Simulator, StallSummary, Throughput, TraceSource, WindowSample,
 };
-use redsim_isa::trace::DynInst;
+use redsim_isa::trace::Trace;
 use redsim_util::Json;
 use redsim_workloads::{Params, Workload};
 
@@ -473,10 +473,10 @@ fn classify_sim_error(e: &redsim_core::SimError) -> JobErrorKind {
 /// A typed [`JobFailure`] carrying the retry classification (deadlock,
 /// budget exhaustion, a fired host deadline...).
 fn run_job(
-    trace: &[DynInst],
+    trace: &Trace,
     job: &Job,
 ) -> Result<(SimStats, Throughput, Vec<WindowSample>), JobFailure> {
-    let mut source = SliceSource::new(trace);
+    let mut source = TraceSource::new(trace);
     let mut sim = Simulator::new(job.config.clone(), job.mode);
     if let Some(fc) = job.faults {
         sim = sim.try_with_faults(fc).map_err(|e| {
@@ -537,7 +537,7 @@ fn run_job(
 /// Every failure mode of the job — simulation error, fired deadline,
 /// panic — as a typed [`JobFailure`].
 pub fn run_job_isolated(
-    trace: &[DynInst],
+    trace: &Trace,
     job: &Job,
 ) -> Result<(SimStats, Throughput, Vec<WindowSample>), JobFailure> {
     match catch_unwind(AssertUnwindSafe(|| run_job(trace, job))) {
@@ -564,7 +564,7 @@ pub fn run_job_isolated(
 #[derive(Debug, Default)]
 pub struct Harness {
     quick: bool,
-    cache: HashMap<(Workload, Option<u64>), Arc<[DynInst]>>,
+    cache: HashMap<(Workload, Option<u64>), Arc<Trace>>,
     perf: Throughput,
     stalls: StallSummary,
 }
@@ -613,7 +613,7 @@ impl Harness {
     /// (the functional emulator is the expensive part) and shared by
     /// reference count, so sweeps re-run the timing model over the
     /// identical instruction stream without copying it.
-    pub fn trace(&mut self, w: Workload) -> Arc<[DynInst]> {
+    pub fn trace(&mut self, w: Workload) -> Arc<Trace> {
         self.trace_for(w, None)
     }
 
@@ -624,7 +624,7 @@ impl Harness {
     ///
     /// Panics if the workload fails to assemble or execute; use
     /// [`Harness::try_trace_for`] to get the structured error instead.
-    pub fn trace_for(&mut self, w: Workload, input_seed: Option<u64>) -> Arc<[DynInst]> {
+    pub fn trace_for(&mut self, w: Workload, input_seed: Option<u64>) -> Arc<Trace> {
         match self.try_trace_for(w, input_seed) {
             Ok(t) => t,
             Err(e) => panic!("{e}"),
@@ -640,7 +640,7 @@ impl Harness {
         &mut self,
         w: Workload,
         input_seed: Option<u64>,
-    ) -> Result<Arc<[DynInst]>, redsim_workloads::WorkloadError> {
+    ) -> Result<Arc<Trace>, redsim_workloads::WorkloadError> {
         if let Some(t) = self.cache.get(&(w, input_seed)) {
             return Ok(Arc::clone(t));
         }
@@ -648,7 +648,7 @@ impl Harness {
         if let Some(seed) = input_seed {
             params.seed = seed;
         }
-        let trace: Arc<[DynInst]> = w.trace(params, 200_000_000)?.into();
+        let trace = Arc::new(w.trace(params, 200_000_000)?);
         self.cache.insert((w, input_seed), Arc::clone(&trace));
         Ok(trace)
     }
@@ -731,7 +731,7 @@ impl Harness {
         threads: usize,
         on_done: impl Fn(usize, Result<(&SimStats, &[WindowSample]), &JobError>) + Sync,
     ) -> (Vec<SimStats>, Vec<JobError>) {
-        let traces: Vec<Result<Arc<[DynInst]>, JobFailure>> = jobs
+        let traces: Vec<Result<Arc<Trace>, JobFailure>> = jobs
             .iter()
             .map(|j| {
                 self.try_trace_for(j.workload, j.input_seed)

@@ -55,9 +55,9 @@ use redsim_bench::Harness;
 pub use redsim_bench::{Job, JobError, JobErrorKind, JobFailure};
 use redsim_core::{
     ExecMode, FaultConfig, FaultLifecycle, FlightRecorder, ForwardingPolicy, Histogram,
-    MachineConfig, SimStats, Simulator, SliceSource, WindowSample,
+    MachineConfig, SimStats, Simulator, TraceSource, WindowSample,
 };
-use redsim_isa::trace::DynInst;
+use redsim_isa::trace::Trace;
 use redsim_util::hash::FxHasher;
 use redsim_util::io::{atomic_write, write_all_retrying, FsyncPolicy, Io, IoFile, RealIo};
 use redsim_util::Json;
@@ -801,7 +801,7 @@ pub fn run_campaign(
         // the bench cache — workers then share them read-only. A trace
         // that cannot be built is a persistent failure for its shards.
         let mut h = Harness::new(spec.quick);
-        let traces: Vec<Result<Arc<[DynInst]>, JobFailure>> = jobs
+        let traces: Vec<Result<Arc<Trace>, JobFailure>> = jobs
             .iter()
             .map(|j| {
                 h.try_trace_for(j.workload, j.input_seed)
@@ -943,7 +943,7 @@ fn dump_hang_trace(
         sim = sim.with_watchdog(w);
     }
     let mut recorder = FlightRecorder::new(dump.capacity);
-    let mut source = SliceSource::new(&trace);
+    let mut source = TraceSource::new(&trace);
     // The shard already ran to classification once; the replay exists
     // only for its event tail, so the stats result is discarded.
     let _ = sim.run_source_traced(&mut source, &mut recorder);

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use redsim_bench::{run_job_isolated, Job, JobErrorKind, JobFailure};
 use redsim_core::{SimStats, WindowSample};
-use redsim_isa::trace::DynInst;
+use redsim_isa::trace::Trace;
 
 /// Retry discipline for transient shard failures.
 #[derive(Debug, Clone)]
@@ -272,7 +272,7 @@ impl Drop for DeadlineGuard {
 /// distinguishes an exhausted retry budget from a fail-fast persistent
 /// error.
 pub fn execute_shard(
-    trace: &Arc<[DynInst]>,
+    trace: &Trace,
     job: &Job,
     retry: &RetryPolicy,
     monitor: Option<&DeadlineMonitor>,

@@ -26,11 +26,9 @@ fn main() {
 
     let committed = if let Some(trace_path) = args.value_of("--trace-out") {
         let trace = emu
-            .run_trace(budget)
+            .record_trace(budget)
             .unwrap_or_else(|e| die(&format!("execution failed: {e}")));
-        let mut file = std::fs::File::create(trace_path)
-            .unwrap_or_else(|e| die(&format!("{trace_path}: {e}")));
-        trace_io::write_trace(&mut file, &trace)
+        std::fs::write(trace_path, trace_io::encode(&trace))
             .unwrap_or_else(|e| die(&format!("{trace_path}: {e}")));
         println!("trace: {} records -> {trace_path}", trace.len());
         trace.len() as u64

@@ -25,8 +25,8 @@
 use redsim_cli::{die, load_program, usage, Args};
 use redsim_core::{
     EventLog, ExecMode, FaultConfig, ForwardingPolicy, Instrumentation, MachineConfig,
-    MetricsCollector, MetricsSink, NullMetrics, NullTracer, SimStats, Simulator, Tracer, VecSource,
-    DEFAULT_METRICS_WINDOW, REUSE_CLASS_NAMES,
+    MetricsCollector, MetricsSink, NullMetrics, NullTracer, SimStats, Simulator, TraceSource,
+    Tracer, DEFAULT_METRICS_WINDOW, REUSE_CLASS_NAMES,
 };
 use redsim_workloads::{Params, Workload};
 
@@ -224,12 +224,8 @@ fn main() {
     };
 
     let stats = if let Some(trace_path) = args.value_of("--trace") {
-        let file =
-            std::fs::File::open(trace_path).unwrap_or_else(|e| die(&format!("{trace_path}: {e}")));
-        let trace = redsim_isa::trace_io::read_trace(std::io::BufReader::new(file))
-            .unwrap_or_else(|e| die(&format!("{trace_path}: {e}")));
-        let mut src = VecSource::new(trace);
-        sim.run_source_instrumented(&mut src, instr)
+        let trace = read_trace_file(trace_path);
+        sim.run_source_instrumented(&mut TraceSource::new(&trace), instr)
     } else if let Some(name) = args.value_of("--workload") {
         let w = Workload::from_name(name).unwrap_or_else(|| {
             die(&format!(
@@ -281,6 +277,12 @@ fn main() {
     }
 }
 
+/// Reads and decodes an `.rtrc` file, or exits with its error.
+fn read_trace_file(path: &str) -> redsim_isa::trace::Trace {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    redsim_isa::trace_io::decode(&bytes).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+}
+
 /// `--compare`: run SIE, DIE and DIE-IRB over the same input and print
 /// a side-by-side summary.
 fn compare(args: &Args) {
@@ -289,10 +291,7 @@ fn compare(args: &Args) {
         .parsed_or("--budget", 200_000_000u64)
         .unwrap_or_else(|e| die(&e));
     let trace = if let Some(trace_path) = args.value_of("--trace") {
-        let file =
-            std::fs::File::open(trace_path).unwrap_or_else(|e| die(&format!("{trace_path}: {e}")));
-        redsim_isa::trace_io::read_trace(std::io::BufReader::new(file))
-            .unwrap_or_else(|e| die(&format!("{trace_path}: {e}")))
+        read_trace_file(trace_path)
     } else if let Some(name) = args.value_of("--workload") {
         let w =
             Workload::from_name(name).unwrap_or_else(|| die(&format!("unknown workload `{name}`")));
@@ -303,12 +302,12 @@ fn compare(args: &Args) {
             .program(Params::new(scale, w.default_params().seed))
             .unwrap_or_else(|e| die(&format!("workload generation failed: {e}")));
         redsim_isa::emu::Emulator::new(&program)
-            .run_trace(budget)
+            .record_trace(budget)
             .unwrap_or_else(|e| die(&format!("execution failed: {e}")))
     } else if let Some(input) = args.positional().first() {
         let program = load_program(input).unwrap_or_else(|e| die(&e));
         redsim_isa::emu::Emulator::new(&program)
-            .run_trace(budget)
+            .record_trace(budget)
             .unwrap_or_else(|e| die(&format!("execution failed: {e}")))
     } else {
         die("--compare needs a program, --trace or --workload");
@@ -319,9 +318,8 @@ fn compare(args: &Args) {
     );
     let mut sie_ipc = 0.0;
     for mode in [ExecMode::Sie, ExecMode::Die, ExecMode::DieIrb] {
-        let mut src = VecSource::new(trace.clone());
         let stats = Simulator::new(cfg.clone(), mode)
-            .run_source(&mut src)
+            .run_source(&mut TraceSource::new(&trace))
             .unwrap_or_else(|e| die(&format!("simulation failed: {e}")));
         if mode == ExecMode::Sie {
             sie_ipc = stats.ipc();

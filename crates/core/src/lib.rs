@@ -84,7 +84,7 @@ pub use pipeline::{Instrumentation, SimError, Simulator, ATTRIBUTION_TOP_K};
 pub use redsim_irb::{
     AttrCounters, LoopSite, PcSite, ReuseAttribution, REUSE_CLASSES, REUSE_CLASS_NAMES,
 };
-pub use source::{ArcSource, EmulatorSource, InstructionSource, SliceSource, VecSource};
+pub use source::{EmulatorSource, InstructionSource, SliceSource, TraceSource};
 pub use stats::{
     attribution_to_json, FetchStallKind, IrbSummary, SimStats, StallBreakdown, StallSummary,
     Throughput,

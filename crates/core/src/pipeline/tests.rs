@@ -653,17 +653,19 @@ fn budget_exhaustion_propagates() {
 fn stats_source_trait_object_compatible() {
     // run_source takes &mut dyn InstructionSource — exercise with both
     // source kinds behind the trait.
-    use crate::source::{EmulatorSource, VecSource};
+    use crate::source::{EmulatorSource, TraceSource};
     let p = assemble("main: li a0, 1\n halt\n").unwrap();
     let cfg = MachineConfig::tiny();
     let mut emu_src = EmulatorSource::new(&p, 100);
     let a = Simulator::new(cfg.clone(), ExecMode::Sie)
         .run_source(&mut emu_src)
         .unwrap();
-    let trace = redsim_isa::emu::Emulator::new(&p).run_trace(100).unwrap();
-    let mut vec_src = VecSource::new(trace);
+    let trace = redsim_isa::emu::Emulator::new(&p)
+        .record_trace(100)
+        .unwrap();
+    let mut trace_src = TraceSource::new(&trace);
     let b = Simulator::new(cfg, ExecMode::Sie)
-        .run_source(&mut vec_src)
+        .run_source(&mut trace_src)
         .unwrap();
     assert_eq!(a, b);
 }

@@ -1,7 +1,7 @@
 //! Committed-path instruction sources for the timing models.
 
 use redsim_isa::emu::Emulator;
-use redsim_isa::trace::DynInst;
+use redsim_isa::trace::{DynInst, Trace};
 use redsim_isa::{EmuError, Program};
 
 /// A stream of committed dynamic instructions.
@@ -9,9 +9,9 @@ use redsim_isa::{EmuError, Program};
 /// The timing models are trace-driven: they pull the committed path from
 /// a source and decide *when* each instruction moves through the
 /// machine. [`EmulatorSource`] runs the functional emulator lazily;
-/// [`VecSource`] replays a pre-recorded trace (useful for tests and for
-/// running many machine configurations over the identical instruction
-/// stream).
+/// [`TraceSource`] replays a pre-recorded packed trace (running many
+/// machine configurations over the identical instruction stream), and
+/// [`SliceSource`] a slice of decoded records.
 pub trait InstructionSource {
     /// The next committed instruction, or `None` at end of program.
     ///
@@ -64,43 +64,7 @@ impl InstructionSource for EmulatorSource {
     }
 }
 
-/// Replays a pre-recorded trace.
-#[derive(Debug, Clone)]
-pub struct VecSource {
-    trace: Vec<DynInst>,
-    pos: usize,
-}
-
-impl VecSource {
-    /// Creates a source replaying `trace` in order.
-    #[must_use]
-    pub fn new(trace: Vec<DynInst>) -> Self {
-        VecSource { trace, pos: 0 }
-    }
-
-    /// Number of instructions remaining.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.trace.len() - self.pos
-    }
-}
-
-impl InstructionSource for VecSource {
-    fn next_inst(&mut self) -> Result<Option<DynInst>, EmuError> {
-        let item = self.trace.get(self.pos).copied();
-        if item.is_some() {
-            self.pos += 1;
-        }
-        Ok(item)
-    }
-}
-
-/// Replays a borrowed trace without copying it.
-///
-/// Sweeps run many machine configurations over the identical committed
-/// path; borrowing lets every run share one materialized trace instead
-/// of cloning a multi-million-entry `Vec` per run (what [`VecSource`]
-/// requires).
+/// Replays a borrowed slice of decoded records without copying it.
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a> {
     trace: &'a [DynInst],
@@ -131,22 +95,21 @@ impl InstructionSource for SliceSource<'_> {
     }
 }
 
-/// Replays a reference-counted trace shared across threads.
+/// Replays a packed [`Trace`], decoding one record per instruction.
 ///
-/// Cloning an `ArcSource` (or the underlying `Arc<[DynInst]>`) is a
-/// pointer bump, so a parallel sweep can hand every worker the same
-/// trace without copying instruction data.
+/// The trace is borrowed, so a sweep can run many machine
+/// configurations over one shared `Arc<Trace>` without copying it.
 #[derive(Debug, Clone)]
-pub struct ArcSource {
-    trace: std::sync::Arc<[DynInst]>,
+pub struct TraceSource<'a> {
+    trace: &'a Trace,
     pos: usize,
 }
 
-impl ArcSource {
+impl<'a> TraceSource<'a> {
     /// Creates a source replaying `trace` in order.
     #[must_use]
-    pub fn new(trace: std::sync::Arc<[DynInst]>) -> Self {
-        ArcSource { trace, pos: 0 }
+    pub fn new(trace: &'a Trace) -> Self {
+        TraceSource { trace, pos: 0 }
     }
 
     /// Number of instructions remaining.
@@ -156,9 +119,9 @@ impl ArcSource {
     }
 }
 
-impl InstructionSource for ArcSource {
+impl InstructionSource for TraceSource<'_> {
     fn next_inst(&mut self) -> Result<Option<DynInst>, EmuError> {
-        let item = self.trace.get(self.pos).copied();
+        let item = self.trace.get(self.pos);
         if item.is_some() {
             self.pos += 1;
         }
@@ -195,13 +158,15 @@ mod tests {
     }
 
     #[test]
-    fn vec_source_replays_in_order() {
+    fn trace_source_replays_in_order() {
         let p = assemble("main: li a0, 1\n add a1, a0, a0\n halt\n").unwrap();
-        let trace = redsim_isa::emu::Emulator::new(&p).run_trace(100).unwrap();
-        let mut s = VecSource::new(trace.clone());
+        let trace = redsim_isa::emu::Emulator::new(&p)
+            .record_trace(100)
+            .unwrap();
+        let mut s = TraceSource::new(&trace);
         assert_eq!(s.remaining(), 3);
-        for want in &trace {
-            assert_eq!(s.next_inst().unwrap().as_ref(), Some(want));
+        for want in trace.iter() {
+            assert_eq!(s.next_inst().unwrap(), Some(want));
         }
         assert!(s.next_inst().unwrap().is_none());
         assert_eq!(s.remaining(), 0);
@@ -216,16 +181,15 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_arc_sources_stream_identically_to_vec_source() {
+    fn trace_and_slice_sources_stream_what_the_emulator_ran() {
         let p = assemble("main: li a0, 5\nloop: addi a0, a0, -1\n bnez a0, loop\n halt\n").unwrap();
-        let trace = redsim_isa::emu::Emulator::new(&p).run_trace(100).unwrap();
-        let from_vec = drain(&mut VecSource::new(trace.clone()));
-        let from_slice = drain(&mut SliceSource::new(&trace));
-        let arc: std::sync::Arc<[DynInst]> = trace.clone().into();
-        let from_arc = drain(&mut ArcSource::new(arc));
-        assert_eq!(from_vec, trace);
-        assert_eq!(from_slice, from_vec);
-        assert_eq!(from_arc, from_vec);
+        let want = redsim_isa::emu::Emulator::new(&p).run_trace(100).unwrap();
+        let packed = redsim_isa::emu::Emulator::new(&p)
+            .record_trace(100)
+            .unwrap();
+        assert_eq!(drain(&mut TraceSource::new(&packed)), want);
+        assert_eq!(drain(&mut SliceSource::new(&want)), want);
+        assert_eq!(drain(&mut EmulatorSource::new(&p, 100)), want);
     }
 
     #[test]

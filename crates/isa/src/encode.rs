@@ -44,11 +44,9 @@ const REG_MASK: u64 = 0x1f;
 /// ```
 #[must_use]
 pub fn encode(inst: &Inst) -> u64 {
-    let opnum = Opcode::ALL
-        .iter()
-        .position(|&o| o == inst.op)
-        .expect("opcode missing from Opcode::ALL") as u64;
-    opnum
+    // `Opcode::ALL` lists the opcodes in declaration order, so an
+    // opcode's discriminant is its position there (tested below).
+    inst.op as u64
         | (u64::from(inst.rd) & REG_MASK) << RD_SHIFT
         | (u64::from(inst.rs1) & REG_MASK) << RS1_SHIFT
         | (u64::from(inst.rs2) & REG_MASK) << RS2_SHIFT
@@ -125,6 +123,13 @@ mod tests {
                 imm: -123456,
             };
             assert_eq!(decode(encode(&i)).unwrap(), i, "{op}");
+        }
+    }
+
+    #[test]
+    fn opcode_numbers_are_positions_in_the_all_table() {
+        for (i, op) in Opcode::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op}");
         }
     }
 

@@ -19,9 +19,11 @@
 //! * **Functional emulation** — [`emu::Emulator`] executes a [`Program`]
 //!   architecturally and emits a committed dynamic-instruction trace of
 //!   [`trace::DynInst`] records carrying operand *values*, results,
-//!   effective addresses and branch outcomes. The timing models in
-//!   `redsim-core` consume this trace, and the instruction-reuse behaviour
-//!   studied by the paper emerges from the real values recorded here.
+//!   effective addresses and branch outcomes. A whole run is held as a
+//!   packed [`trace::Trace`] (48 bytes per instruction) and serialized by
+//!   [`trace_io`]. The timing models in `redsim-core` consume this trace,
+//!   and the instruction-reuse behaviour studied by the paper emerges
+//!   from the real values recorded here.
 //! * **Tooling** — a [`disasm`] disassembler for debugging and reporting.
 //!
 //! # Examples

@@ -2,29 +2,44 @@
 //! functional runs can be captured once and replayed across many
 //! machine configurations (or machines).
 //!
-//! Layout: `"RTRC"` magic, `u16` version, `u64` record count, then one
-//! fixed-width 74-byte record per instruction:
+//! Layout (format version 2): `"RTRC"` magic, `u16` version, `u64`
+//! record count, then one fixed-width 48-byte record per instruction —
+//! the in-memory [`PackedInst`] in
+//! little-endian, with the instruction as its encoded word:
 //!
 //! ```text
-//! seq u64 | pc u64 | inst u64 (encoded) | src1 u64 | src2 u64
-//! | flags u8 (bit0 result, bit1 ea, bit2 control, bit3 taken)
-//! | result u64 | ea u64 | target u64 | next_pc u64
+//! inst u64 (encoded) | pc u32 | flags u32 (bit0 result, bit1 ea,
+//! bit2 control, bit3 taken) | src1 u64 | src2 u64 | result u64 | addr u64
 //! ```
 //!
-//! Optional fields are always present in the record (zero when absent);
-//! the flags byte says which are meaningful.
+//! `seq` and `next_pc` are derived on decode, and `addr` holds the
+//! effective address or the control target (never both); a slot whose
+//! flag is clear is zero. Version 1 files (73-byte records holding every
+//! field) read as [`TraceIoError::BadVersion`].
+//!
+//! A trace file is untrusted input. [`decode`] pre-allocates only for
+//! the records the bytes actually hold, and refuses a count that
+//! disagrees with the body, undecodable instruction words, flag bits
+//! outside the layout, and flags that disagree with the record's opcode
+//! (an effective address on anything but a load or store, a control
+//! target on anything but a branch or jump, or either one missing where
+//! the opcode needs it) — each with a typed [`TraceIoError`], never a
+//! panic. Every record that decodes can therefore be replayed.
 
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use crate::encode;
-use crate::trace::{ControlOutcome, DynInst};
+use crate::trace::{DynInst, PackError, PackedInst, Trace};
 
 const MAGIC: &[u8; 4] = b"RTRC";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
+const HEADER_BYTES: usize = 14;
+/// Bytes per record on disk.
+pub const RECORD_BYTES: usize = 48;
 
-/// An error produced while reading a trace stream.
+/// An error produced while reading or writing a trace.
 #[derive(Debug)]
 pub enum TraceIoError {
     /// Underlying I/O failure.
@@ -33,8 +48,24 @@ pub enum TraceIoError {
     BadMagic,
     /// Unsupported version.
     BadVersion(u16),
+    /// The header's record count disagrees with the bytes that follow.
+    CountMismatch {
+        /// Records the header declares.
+        declared: u64,
+        /// Bytes present after the header.
+        body_bytes: u64,
+    },
+    /// A record's flag word is not a valid combination for its opcode.
+    BadFlags {
+        /// Index of the offending record.
+        record: u64,
+        /// The flag word.
+        flags: u32,
+    },
     /// An instruction word failed to decode.
     Decode(crate::DecodeError),
+    /// A record to be written does not have an emulator record's shape.
+    Unpackable(PackError),
 }
 
 impl fmt::Display for TraceIoError {
@@ -43,7 +74,18 @@ impl fmt::Display for TraceIoError {
             TraceIoError::Io(e) => write!(f, "trace i/o failed: {e}"),
             TraceIoError::BadMagic => write!(f, "not a redsim trace (bad magic)"),
             TraceIoError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
+            TraceIoError::CountMismatch {
+                declared,
+                body_bytes,
+            } => write!(
+                f,
+                "header declares {declared} records but {body_bytes} bytes follow"
+            ),
+            TraceIoError::BadFlags { record, flags } => {
+                write!(f, "record {record}: invalid flag word {flags:#x}")
+            }
             TraceIoError::Decode(e) => write!(f, "bad instruction in trace: {e}"),
+            TraceIoError::Unpackable(e) => write!(f, "cannot serialize: {e}"),
         }
     }
 }
@@ -53,6 +95,7 @@ impl Error for TraceIoError {
         match self {
             TraceIoError::Io(e) => Some(e),
             TraceIoError::Decode(e) => Some(e),
+            TraceIoError::Unpackable(e) => Some(e),
             _ => None,
         }
     }
@@ -70,102 +113,113 @@ impl From<crate::DecodeError> for TraceIoError {
     }
 }
 
-/// Writes a trace to `w`.
+/// Serializes a trace.
+#[must_use]
+pub fn encode(trace: &Trace) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + trace.len() * RECORD_BYTES);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+    for p in &trace.records {
+        out.extend_from_slice(&encode::encode(&p.inst).to_le_bytes());
+        out.extend_from_slice(&p.pc.to_le_bytes());
+        out.extend_from_slice(&p.flags.to_le_bytes());
+        for v in [p.src1, p.src2, p.result, p.addr] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    out
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("an 8-byte field"))
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("a 4-byte field"))
+}
+
+/// Deserializes a trace from the whole of `bytes`.
+///
+/// # Errors
+///
+/// A short header is an [`io::ErrorKind::UnexpectedEof`]; then bad
+/// magic or version, a count that disagrees with the body, an
+/// undecodable instruction word, or a flag word invalid for its opcode.
+pub fn decode(bytes: &[u8]) -> Result<Trace, TraceIoError> {
+    let Some((header, body)) = bytes.split_at_checked(HEADER_BYTES) else {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    };
+    if &header[..4] != MAGIC {
+        return Err(TraceIoError::BadMagic);
+    }
+    let version = u16::from_le_bytes([header[4], header[5]]);
+    if version != VERSION {
+        return Err(TraceIoError::BadVersion(version));
+    }
+    let declared = le_u64(&header[6..]);
+    if declared.checked_mul(RECORD_BYTES as u64) != Some(body.len() as u64) {
+        return Err(TraceIoError::CountMismatch {
+            declared,
+            body_bytes: body.len() as u64,
+        });
+    }
+    // The body holds exactly `declared` records, so this allocation is
+    // bounded by the bytes already in hand.
+    let mut records = Vec::with_capacity(body.len() / RECORD_BYTES);
+    for (i, r) in body.chunks_exact(RECORD_BYTES).enumerate() {
+        let inst = encode::decode(le_u64(&r[..8]))?;
+        let flags = le_u32(&r[12..16]);
+        if !PackedInst::flags_valid(flags, inst.op) {
+            return Err(TraceIoError::BadFlags {
+                record: i as u64,
+                flags,
+            });
+        }
+        records.push(PackedInst {
+            inst,
+            pc: le_u32(&r[8..12]),
+            flags,
+            src1: le_u64(&r[16..24]),
+            src2: le_u64(&r[24..32]),
+            result: le_u64(&r[32..40]),
+            addr: le_u64(&r[40..48]),
+        });
+    }
+    Ok(Trace { records })
+}
+
+/// Writes a trace of [`DynInst`] records to `w` in the packed format.
 ///
 /// A `&mut` reference can be passed for any `W: Write`.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// [`TraceIoError::Unpackable`] for a record that is not shaped like an
+/// emulator record (see [`Trace::push`]); otherwise I/O errors from the
+/// writer.
 pub fn write_trace<W: Write>(mut w: W, trace: &[DynInst]) -> Result<(), TraceIoError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
+    let mut packed = Trace {
+        records: Vec::with_capacity(trace.len()),
+    };
     for d in trace {
-        w.write_all(&d.seq.to_le_bytes())?;
-        w.write_all(&d.pc.to_le_bytes())?;
-        w.write_all(&encode::encode(&d.inst).to_le_bytes())?;
-        w.write_all(&d.src1.to_le_bytes())?;
-        w.write_all(&d.src2.to_le_bytes())?;
-        let mut flags = 0u8;
-        if d.result.is_some() {
-            flags |= 1;
-        }
-        if d.ea.is_some() {
-            flags |= 2;
-        }
-        if let Some(c) = d.control {
-            flags |= 4;
-            if c.taken {
-                flags |= 8;
-            }
-        }
-        w.write_all(&[flags])?;
-        w.write_all(&d.result.unwrap_or(0).to_le_bytes())?;
-        w.write_all(&d.ea.unwrap_or(0).to_le_bytes())?;
-        w.write_all(&d.control.map_or(0, |c| c.target).to_le_bytes())?;
-        w.write_all(&d.next_pc.to_le_bytes())?;
+        packed.push(d).map_err(TraceIoError::Unpackable)?;
     }
+    w.write_all(&encode(&packed))?;
     Ok(())
 }
 
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, TraceIoError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Reads a trace from `r`.
+/// Reads a whole trace from `r` and decodes it to [`DynInst`] records.
 ///
 /// A `&mut` reference can be passed for any `R: Read`.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, bad magic/version, or undecodable instruction
-/// words.
+/// I/O errors from the reader, or any [`decode`] error.
 pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<DynInst>, TraceIoError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(TraceIoError::BadMagic);
-    }
-    let mut vbuf = [0u8; 2];
-    r.read_exact(&mut vbuf)?;
-    let version = u16::from_le_bytes(vbuf);
-    if version != VERSION {
-        return Err(TraceIoError::BadVersion(version));
-    }
-    let count = read_u64(&mut r)?;
-    let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(0));
-    for _ in 0..count {
-        let seq = read_u64(&mut r)?;
-        let pc = read_u64(&mut r)?;
-        let inst = encode::decode(read_u64(&mut r)?)?;
-        let src1 = read_u64(&mut r)?;
-        let src2 = read_u64(&mut r)?;
-        let mut fb = [0u8; 1];
-        r.read_exact(&mut fb)?;
-        let flags = fb[0];
-        let result_raw = read_u64(&mut r)?;
-        let ea_raw = read_u64(&mut r)?;
-        let target = read_u64(&mut r)?;
-        let next_pc = read_u64(&mut r)?;
-        out.push(DynInst {
-            seq,
-            pc,
-            inst,
-            src1,
-            src2,
-            result: (flags & 1 != 0).then_some(result_raw),
-            ea: (flags & 2 != 0).then_some(ea_raw),
-            control: (flags & 4 != 0).then_some(ControlOutcome {
-                taken: flags & 8 != 0,
-                target,
-            }),
-            next_pc,
-        });
-    }
-    Ok(out)
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    Ok(decode(&bytes)?.iter().collect())
 }
 
 #[cfg(test)]
@@ -194,13 +248,18 @@ mod tests {
         Emulator::new(&p).run_trace(1000).unwrap()
     }
 
-    #[test]
-    fn round_trip_is_lossless() {
-        let t = sample_trace();
+    fn sample_bytes() -> Vec<u8> {
         let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
+        write_trace(&mut buf, &sample_trace()).unwrap();
+        buf
+    }
+
+    #[test]
+    fn round_trip_is_lossless_at_48_bytes_per_record() {
+        let t = sample_trace();
+        let buf = sample_bytes();
+        assert_eq!(buf.len(), HEADER_BYTES + t.len() * RECORD_BYTES);
+        assert_eq!(read_trace(buf.as_slice()).unwrap(), t);
     }
 
     #[test]
@@ -212,28 +271,89 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let r = read_trace(&b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"[..]);
+        let r = read_trace(&b"NOPE\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00"[..]);
         assert!(matches!(r, Err(TraceIoError::BadMagic)));
     }
 
     #[test]
+    fn version_1_reads_as_bad_version() {
+        let r = read_trace(&b"RTRC\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"[..]);
+        assert!(matches!(r, Err(TraceIoError::BadVersion(1))));
+    }
+
+    #[test]
     fn truncated_stream_fails_cleanly() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
+        let buf = sample_bytes();
         for cut in [5, 14, 20, buf.len() - 1] {
             assert!(read_trace(&buf[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
-    fn replay_through_simulator_matches_direct_run() {
-        // The serialized trace must drive the timing model identically.
+    fn a_huge_declared_count_is_refused_without_allocating() {
+        for declared in [u64::MAX, 1 << 40] {
+            let mut buf = sample_bytes();
+            buf[6..14].copy_from_slice(&declared.to_le_bytes());
+            assert!(
+                matches!(
+                    decode(&buf),
+                    Err(TraceIoError::CountMismatch { declared: d, .. }) if d == declared
+                ),
+                "count {declared}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_flag_violation_is_a_typed_error() {
         let t = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.last().unwrap().inst.op, crate::Opcode::Halt);
+        let ld = t.iter().position(|d| d.inst.op.is_load()).unwrap();
+        let br = t.iter().position(|d| d.inst.op.is_branch()).unwrap();
+        let alu = t
+            .iter()
+            .position(|d| d.inst.op == crate::Opcode::Addi)
+            .unwrap();
+        // Flag bits: 0 result, 1 ea, 2 control, 3 taken. The load's
+        // are result | ea, the branch's control (| taken).
+        let cases = [
+            (ld, 1u32 << 4 | 0b11, "an unknown bit"),
+            (ld, 0b1011, "taken without control"),
+            (ld, 0b0111, "ea with control"),
+            (ld, 0b0001, "a load without its ea"),
+            (br, 0b0000, "a branch without its outcome"),
+            (alu, 0b0011, "an ea on an ALU op"),
+            (alu, 0b1101, "an outcome on an ALU op"),
+        ];
+        for (rec, bad, what) in cases {
+            let at = HEADER_BYTES + rec * RECORD_BYTES + 12;
+            let mut buf = sample_bytes();
+            buf[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            assert!(
+                matches!(
+                    decode(&buf),
+                    Err(TraceIoError::BadFlags { record, flags })
+                        if record == rec as u64 && flags == bad
+                ),
+                "{what}: flags {bad:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_undecodable_instruction_word_is_a_typed_error() {
+        let mut buf = sample_bytes();
+        buf[HEADER_BYTES] = 0xff;
+        assert!(matches!(decode(&buf), Err(TraceIoError::Decode(_))));
+    }
+
+    #[test]
+    fn records_that_do_not_pack_are_refused_on_write() {
+        let mut t = sample_trace();
+        t[2].seq = 7;
+        let r = write_trace(&mut Vec::new(), &t);
+        assert!(matches!(
+            r,
+            Err(TraceIoError::Unpackable(PackError { index: 2 }))
+        ));
     }
 }

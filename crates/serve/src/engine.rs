@@ -599,6 +599,11 @@ impl Engine {
                 (store.mem_hits + store.disk_hits) as f64 / lookups as f64
             },
         );
+        reg.gauge(
+            "serve_trace_cache_resident_bytes",
+            "Heap bytes held by the trace store's memory tier",
+            self.shared.store.resident_bytes() as f64,
+        );
         reg.histogram(
             "serve_job_latency_ms",
             "Wall-clock milliseconds per completed job (trace + simulation + retries)",

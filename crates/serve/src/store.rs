@@ -1,6 +1,6 @@
 //! A content-addressed trace store.
 //!
-//! This generalizes the bench harness's per-process `Arc<[DynInst]>`
+//! This generalizes the bench harness's per-process `Arc<Trace>`
 //! trace cache into a store addressed by *content*, not identity: the
 //! key is the fx64 fingerprint of the workload's generated assembly
 //! source, its resolved parameters, the emulation budget and
@@ -11,16 +11,22 @@
 //! an in-memory map and across processes via `.rtrc` files persisted
 //! with [`redsim_util::io::atomic_write`].
 //!
-//! A disk entry that fails to read (torn by a crash mid-persist, or a
-//! foreign format version) is treated as a miss and rebuilt over — the
-//! store is a cache, never an authority.
+//! Both tiers hold the packed 48-byte-per-instruction form: the memory
+//! tier keeps each [`Trace`] as built or decoded, and a disk entry is
+//! its [`trace_io`] v2 encoding, byte for byte the same records.
+//! [`TraceStore::resident_bytes`] reports what the memory tier holds.
+//!
+//! A disk entry that fails to read (torn by a crash mid-persist, a
+//! corrupt header or record, or a foreign format version such as v1) is
+//! treated as a miss and rebuilt over — the store is a cache, never an
+//! authority.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use redsim_isa::trace::DynInst;
+use redsim_isa::trace::Trace;
 use redsim_isa::trace_io;
 use redsim_util::hash::fx64;
 use redsim_util::io::{atomic_write, Io};
@@ -59,7 +65,7 @@ pub struct StoreStats {
 }
 
 struct StoreState {
-    mem: HashMap<u64, Arc<[DynInst]>>,
+    mem: HashMap<u64, Arc<Trace>>,
     stats: StoreStats,
 }
 
@@ -153,7 +159,7 @@ impl TraceStore {
         &self,
         spec: &JobSpec,
         budget: u64,
-    ) -> Result<(Arc<[DynInst]>, TraceOrigin), WorkloadError> {
+    ) -> Result<(Arc<Trace>, TraceOrigin), WorkloadError> {
         let key = Self::trace_key(spec, budget);
         {
             let mut st = self.state.lock().expect("trace store lock");
@@ -166,14 +172,14 @@ impl TraceStore {
         let path = self.path_for(key);
         if self.io.exists(&path) {
             if let Some(trace) = read_entry(&path) {
-                let trace: Arc<[DynInst]> = trace.into();
+                let trace = Arc::new(trace);
                 let mut st = self.state.lock().expect("trace store lock");
                 st.mem.insert(key, Arc::clone(&trace));
                 st.stats.disk_hits += 1;
                 return Ok((trace, TraceOrigin::Disk));
             }
         }
-        let trace: Arc<[DynInst]> = spec.workload.trace(spec.params(), budget)?.into();
+        let trace = Arc::new(spec.workload.trace(spec.params(), budget)?);
         let persisted = self.persist(&path, &trace).is_ok();
         let mut st = self.state.lock().expect("trace store lock");
         st.mem.insert(key, Arc::clone(&trace));
@@ -184,21 +190,29 @@ impl TraceStore {
         Ok((trace, TraceOrigin::Built))
     }
 
-    fn persist(&self, path: &Path, trace: &[DynInst]) -> io::Result<()> {
-        let mut bytes = Vec::new();
-        trace_io::write_trace(&mut bytes, trace)
-            .map_err(|e| io::Error::other(format!("trace serialization failed: {e}")))?;
-        atomic_write(self.io.as_ref(), path, &bytes, self.sync)
+    fn persist(&self, path: &Path, trace: &Trace) -> io::Result<()> {
+        atomic_write(self.io.as_ref(), path, &trace_io::encode(trace), self.sync)
+    }
+
+    /// Heap bytes the memory tier's traces occupy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store mutex was poisoned by a panicking thread.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        let st = self.state.lock().expect("trace store lock");
+        st.mem.values().map(|t| t.heap_bytes() as u64).sum()
     }
 }
 
 /// Reads a persisted entry, treating any failure — a torn file, a
-/// foreign format version — as a miss. Reads go through `std::fs`
-/// directly: the [`Io`] fault seam covers the durability path, and
-/// chaos backends pass reads through untouched anyway.
-fn read_entry(path: &Path) -> Option<Vec<DynInst>> {
-    let file = std::fs::File::open(path).ok()?;
-    trace_io::read_trace(std::io::BufReader::new(file)).ok()
+/// corrupt header or record, a foreign format version — as a miss.
+/// Reads go through `std::fs` directly: the [`Io`] fault seam covers the
+/// durability path, and chaos backends pass reads through untouched
+/// anyway.
+fn read_entry(path: &Path) -> Option<Trace> {
+    trace_io::decode(&std::fs::read(path).ok()?).ok()
 }
 
 #[cfg(test)]
@@ -282,5 +296,44 @@ mod tests {
             full,
             "the rebuilt entry is byte-identical (deterministic emulation)"
         );
+    }
+
+    #[test]
+    fn a_corrupt_entry_is_a_miss_and_rebuilds_byte_identically() {
+        let dir = store_dir("corrupt");
+        let spec = JobSpec::new(Workload::Gzip, ExecMode::Sie);
+        let io: Arc<dyn Io> = Arc::new(RealIo);
+        let store = TraceStore::open(Arc::clone(&io), dir.clone(), false).expect("open");
+        let (built, _) = store.get(&spec, 2_000_000).expect("build");
+        assert_eq!(store.resident_bytes(), built.len() as u64 * 48);
+        let path = store.path_for(TraceStore::trace_key(&spec, 2_000_000));
+        let full = std::fs::read(&path).expect("entry exists");
+        // Offsets: version at 4, record count at 6, record i at 14 + 48i
+        // (its instruction word first, its flag word at +12).
+        let load = built
+            .iter()
+            .position(|d| d.inst.op.is_load())
+            .expect("a load");
+        let load_flags = 14 + 48 * load + 12;
+        let corruptions: [(usize, &[u8]); 7] = [
+            (4, &1u16.to_le_bytes()),
+            (6, &u64::MAX.to_le_bytes()),
+            (6, &(1u64 << 40).to_le_bytes()),
+            (26, &(1u32 << 4).to_le_bytes()),
+            (26, &0b110u32.to_le_bytes()),
+            (14, &[0xff]),
+            // A load that keeps its result but loses its effective address.
+            (load_flags, &1u32.to_le_bytes()),
+        ];
+        for (at, bytes) in corruptions {
+            let mut bad = full.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            std::fs::write(&path, &bad).expect("corrupt");
+            let fresh = TraceStore::open(Arc::clone(&io), dir.clone(), false).expect("reopen");
+            let (rebuilt, origin) = fresh.get(&spec, 2_000_000).expect("rebuild");
+            assert_eq!(origin, TraceOrigin::Built, "corruption at {at}");
+            assert_eq!(*rebuilt, *built);
+            assert_eq!(std::fs::read(&path).expect("entry repaired"), full);
+        }
     }
 }

@@ -150,6 +150,15 @@ fn repeat_submissions_never_reassemble_or_reemulate() {
     assert!(!cached);
     engine.drain().expect("drain");
     assert_eq!(engine.store_stats().builds, 1, "first job builds the trace");
+    // The memory tier's gauge reports the packed trace's real footprint:
+    // 48 bytes per instruction.
+    let insts = Workload::Gzip
+        .trace(sie.params(), options(1).trace_budget)
+        .expect("trace")
+        .len();
+    let resident = format!("\nserve_trace_cache_resident_bytes {}\n", insts * 48);
+    let prom = engine.metrics_registry().to_prometheus();
+    assert!(prom.contains(&resident), "{prom}");
 
     // Identical re-submission: same id, result already in hand, no
     // queue work at all.
@@ -180,6 +189,11 @@ fn repeat_submissions_never_reassemble_or_reemulate() {
     assert_eq!(
         stats.disk_hits, 1,
         "served from the content-addressed store"
+    );
+    let prom = engine.metrics_registry().to_prometheus();
+    assert!(
+        prom.contains(&resident),
+        "a disk hit decodes to the same footprint: {prom}"
     );
     engine.close().expect("close");
 }

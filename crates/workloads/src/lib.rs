@@ -53,7 +53,7 @@ mod kernels;
 pub mod mix;
 
 use redsim_isa::asm::assemble;
-use redsim_isa::trace::DynInst;
+use redsim_isa::trace::Trace;
 use redsim_isa::{AsmError, Program};
 
 /// A workload instance that failed to materialize. Either outcome is a
@@ -223,20 +223,20 @@ impl Workload {
 
     /// Materializes the kernel's committed-path trace: assembles the
     /// generated source and runs the functional emulator to `halt`
-    /// within `budget` instructions.
+    /// within `budget` instructions, recording a packed [`Trace`].
     ///
     /// # Errors
     ///
     /// [`WorkloadError`] when assembly or functional execution fails —
     /// a structured error harnesses can attach to the affected jobs
     /// instead of panicking.
-    pub fn trace(self, params: Params, budget: u64) -> Result<Vec<DynInst>, WorkloadError> {
+    pub fn trace(self, params: Params, budget: u64) -> Result<Trace, WorkloadError> {
         let program = self.program(params).map_err(|e| WorkloadError::Build {
             workload: self.name(),
             message: e.to_string(),
         })?;
         let mut emu = redsim_isa::emu::Emulator::new(&program);
-        emu.run_trace(budget).map_err(|e| WorkloadError::Run {
+        emu.record_trace(budget).map_err(|e| WorkloadError::Run {
             workload: self.name(),
             message: e.to_string(),
         })

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full offline verification: formatting, lints, release build, the test
-# suite, an end-to-end figure smoke, and a bench smoke that exercises
-# the perf-baseline writer. Run from anywhere; no network access is
-# needed (the workspace has zero external dependencies).
+# suite, an end-to-end figure smoke, a bench smoke that exercises the
+# perf-baseline writer, and a build of the benchmark/ package. Run from
+# anywhere; no network access is needed (the workspace has zero
+# external dependencies).
 #
 #   scripts/verify.sh               # everything
 #   scripts/verify.sh bench-smoke   # only the bench + determinism smoke
@@ -464,6 +465,24 @@ EOF
     wait "$serve_pid" 2>/dev/null || true
 }
 
+benchmark_build() {
+    # The benchmark package (benchmark/, its own workspace) builds the
+    # repository's crates by path, so a crate API change that breaks it
+    # must fail here, not only when the benchmark next runs. It shares
+    # benchmark/run.sh's default target directory.
+    echo "==> benchmark package build + unit tests"
+    run env CARGO_TARGET_DIR="$PWD/target" cargo build --offline --release \
+        --manifest-path benchmark/Cargo.toml --bins
+    run env CARGO_TARGET_DIR="$PWD/target" cargo test --offline \
+        --manifest-path benchmark/Cargo.toml --lib
+}
+
+if [ "${1:-}" = "benchmark-build" ]; then
+    benchmark_build
+    echo "OK: benchmark build passed"
+    exit 0
+fi
+
 if [ "${1:-}" = "serve-smoke" ]; then
     serve_smoke
     echo "OK: serve smoke passed"
@@ -519,5 +538,6 @@ chaos_smoke
 serve_smoke
 attribution_smoke
 bench_smoke
+benchmark_build
 
 echo "OK: all checks passed"

@@ -90,15 +90,15 @@ fn fetch_and_commit_account_for_every_cycle_kind() {
 fn identical_trace_identical_stats_across_sources() {
     // Running from the emulator directly and from a captured trace must
     // produce bit-identical statistics.
-    use redsim::core::VecSource;
+    use redsim::core::TraceSource;
     let w = Workload::Vpr;
     let program = w.program(w.tiny_params()).unwrap();
     let cfg = MachineConfig::paper_baseline();
     let direct = Simulator::new(cfg.clone(), ExecMode::DieIrb)
         .run_program(&program)
         .unwrap();
-    let trace = Emulator::new(&program).run_trace(200_000_000).unwrap();
-    let mut src = VecSource::new(trace);
+    let trace = Emulator::new(&program).record_trace(200_000_000).unwrap();
+    let mut src = TraceSource::new(&trace);
     let replay = Simulator::new(cfg, ExecMode::DieIrb)
         .run_source(&mut src)
         .unwrap();
