@@ -436,6 +436,18 @@ impl Engine {
         self.shared.q.lock().expect("engine queue lock").stop
     }
 
+    /// Blocks until shutdown has been requested.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue mutex was poisoned by a panicking thread.
+    pub fn wait_stopped(&self) {
+        let mut q = self.shared.q.lock().expect("engine queue lock");
+        while !q.stop {
+            q = self.shared.done_cv.wait(q).expect("engine queue lock");
+        }
+    }
+
     /// Requests shutdown: workers finish their in-flight job and
     /// exit; queued jobs stay journaled and re-run on the next open.
     ///

@@ -23,9 +23,11 @@
 //! * [`engine`] — the work queue: submission, worker threads driving
 //!   [`redsim_campaign::supervisor::execute_shard`], result
 //!   memoization, and the metrics registry behind `/metrics`.
-//! * [`net`] — the wire protocol: a blocking accept loop over
-//!   `std::net` (TCP, or a unix socket on unix) speaking one JSON
-//!   object per line, plus a minimal HTTP/1.1 GET observability API:
+//! * [`net`] — the wire protocol: one blocking accept loop shared by
+//!   TCP and unix sockets over `std::net`, answering a new connection
+//!   at once and woken on shutdown by a self-connect rather than a
+//!   poll, speaking one JSON object per line, plus a minimal HTTP/1.1
+//!   GET observability API:
 //!   `/metrics` for Prometheus scrapers and `/jobs`, `/jobs/<id>`,
 //!   `/jobs/<id>/attribution` serving stored deterministic JSON
 //!   results.

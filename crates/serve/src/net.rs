@@ -22,12 +22,19 @@
 //! paths 404. Request lines are capped at [`MAX_REQUEST_LINE`] bytes,
 //! so an oversized request cannot make the server buffer unbounded
 //! input.
+//!
+//! TCP and unix listeners share one accept loop that blocks in
+//! `accept`, so a new connection is answered at once. Stopping the
+//! engine wakes it: a watcher thread waits for the stop and then
+//! connects to the listener itself. Each connection gets its own
+//! thread, and an idle one re-checks the stop flag every 500 ms.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,9 +43,6 @@ use redsim_util::Json;
 use crate::engine::{Engine, RequestKind};
 use crate::spec::JobSpec;
 use crate::ServeError;
-
-/// How often the accept loop polls the engine's stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Hard cap on one request line (native op or HTTP request/header
 /// line). Longer lines are rejected and the connection closed before
@@ -54,82 +58,177 @@ const MAX_HTTP_HEADERS: usize = 64;
 ///
 /// # Errors
 ///
-/// Any `io::Error` from the listener itself; per-connection errors
-/// only close that connection.
+/// Any `io::Error` from the listener itself, after which the engine is
+/// stopped; per-connection errors only close that connection.
 pub fn serve_tcp(engine: &Arc<Engine>, listener: &TcpListener) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-                let engine = Arc::clone(engine);
-                conns.push(std::thread::spawn(move || {
-                    let mut stream = stream;
-                    let reader = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    };
-                    handle_conn(&engine, BufReader::new(reader), &mut stream);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if engine.stopped() {
-                    break;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        conns.retain(|h| !h.is_finished());
+    listener.set_nonblocking(false)?;
+    // The stop watcher connects here; a wildcard bind is reachable on
+    // loopback.
+    let mut wake_addr = listener.local_addr()?;
+    if wake_addr.ip().is_unspecified() {
+        wake_addr.set_ip(match wake_addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
     }
-    for h in conns {
-        let _ = h.join();
-    }
-    Ok(())
+    accept_loop(
+        engine,
+        || listener.accept().map(|(stream, _peer)| Stream::Tcp(stream)),
+        move || TcpStream::connect(wake_addr).map(drop),
+    )
 }
 
 /// Unix-socket twin of [`serve_tcp`].
 ///
 /// # Errors
 ///
-/// Any `io::Error` from the listener itself.
+/// Any `io::Error` from the listener itself, after which the engine is
+/// stopped.
 #[cfg(unix)]
 pub fn serve_unix(engine: &Arc<Engine>, listener: &UnixListener) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-                let engine = Arc::clone(engine);
-                conns.push(std::thread::spawn(move || {
-                    let mut stream = stream;
-                    let reader = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    };
-                    handle_conn(&engine, BufReader::new(reader), &mut stream);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if engine.stopped() {
-                    break;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    listener.set_nonblocking(false)?;
+    let wake_addr = listener.local_addr()?;
+    accept_loop(
+        engine,
+        || {
+            listener
+                .accept()
+                .map(|(stream, _peer)| Stream::Unix(stream))
+        },
+        move || UnixStream::connect_addr(&wake_addr).map(drop),
+    )
+}
+
+/// One end of a connection, TCP or unix socket, on either side.
+enum Stream {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(UnixStream),
+}
+
+impl Stream {
+    fn try_clone(&self) -> io::Result<Stream> {
+        match self {
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
         }
-        conns.retain(|h| !h.is_finished());
     }
+
+    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(dur),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_read_timeout(dur),
+        }
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.flush(),
+        }
+    }
+}
+
+/// The accept loop both transports share. It blocks in `accept` and
+/// never polls: a watcher thread waits for the engine to stop, then
+/// calls `wake`, which opens one connection to the listener so the
+/// blocked `accept` returns and the loop sees the stop flag.
+///
+/// A pending connection aborted or reset before `accept` took it, and
+/// an interrupted `accept`, are retried, as accept(2) asks. A
+/// connection whose setup fails is dropped alone. Any other `accept`
+/// error stops the engine, so the watcher returns, and ends the loop
+/// with that error.
+fn accept_loop(
+    engine: &Arc<Engine>,
+    mut accept: impl FnMut() -> io::Result<Stream>,
+    wake: impl FnOnce() -> io::Result<()> + Send + 'static,
+) -> io::Result<()> {
+    let listening = Arc::new(AtomicBool::new(true));
+    // Not a scoped thread: should the loop panic, the watcher is left
+    // parked rather than joined, so the panic is not turned into a hang.
+    let watcher = {
+        let engine = Arc::clone(engine);
+        let listening = Arc::clone(&listening);
+        std::thread::spawn(move || {
+            engine.wait_stopped();
+            // After a listener error nothing is left to wake, and a
+            // full backlog could block the connect.
+            if listening.load(Ordering::SeqCst) {
+                // Should this fail, the next client wakes the loop.
+                let _ = wake();
+            }
+        })
+    };
+    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let result = loop {
+        let accepted = accept();
+        if engine.stopped() {
+            break Ok(());
+        }
+        let stream = match accepted {
+            Ok(stream) => stream,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted
+                        | io::ErrorKind::ConnectionReset
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
+            Err(e) => {
+                listening.store(false, Ordering::SeqCst);
+                engine.stop();
+                break Err(e);
+            }
+        };
+        conns.retain(|h| !h.is_finished());
+        // An idle connection re-checks the stop flag on each timeout.
+        let Ok(reader) = stream
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .and_then(|()| stream.try_clone())
+        else {
+            continue;
+        };
+        let engine = Arc::clone(engine);
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let mut stream = stream;
+            handle_conn(&engine, BufReader::new(reader), &mut stream);
+        });
+        if let Ok(h) = spawned {
+            conns.push(h);
+        }
+    };
     for h in conns {
         let _ = h.join();
     }
-    Ok(())
+    watcher.join().expect("stop watcher thread");
+    result
 }
 
 /// Reads a line of at most [`MAX_REQUEST_LINE`] bytes, treating a
@@ -402,45 +501,10 @@ fn dispatch(engine: &Engine, line: &str) -> (Json, bool) {
     (response, op == "shutdown")
 }
 
-/// One end of a client connection (TCP or unix socket).
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking line-protocol client.
 pub struct Client {
-    reader: BufReader<ClientStream>,
-    writer: ClientStream,
+    reader: BufReader<Stream>,
+    writer: Stream,
 }
 
 impl std::fmt::Debug for Client {
@@ -472,12 +536,7 @@ impl Client {
     ///
     /// Any `io::Error` from `TcpStream::connect`.
     pub fn connect_tcp(addr: &str) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let reader = ClientStream::Tcp(stream.try_clone()?);
-        Ok(Client {
-            reader: BufReader::new(reader),
-            writer: ClientStream::Tcp(stream),
-        })
+        Self::over(Stream::Tcp(TcpStream::connect(addr)?))
     }
 
     /// Connects over a unix socket.
@@ -489,12 +548,7 @@ impl Client {
     pub fn connect_unix(path: &Path) -> io::Result<Client> {
         #[cfg(unix)]
         {
-            let stream = UnixStream::connect(path)?;
-            let reader = ClientStream::Unix(stream.try_clone()?);
-            Ok(Client {
-                reader: BufReader::new(reader),
-                writer: ClientStream::Unix(stream),
-            })
+            Self::over(Stream::Unix(UnixStream::connect(path)?))
         }
         #[cfg(not(unix))]
         {
@@ -504,6 +558,13 @@ impl Client {
                 "unix sockets are not available on this platform",
             ))
         }
+    }
+
+    fn over(stream: Stream) -> io::Result<Client> {
+        Ok(Client {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: stream,
+        })
     }
 
     /// Sends one request and reads one response line.
@@ -524,5 +585,61 @@ impl Client {
         }
         Json::parse(line.trim_end())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineOptions;
+    use redsim_util::io::RealIo;
+    use std::sync::mpsc;
+
+    #[test]
+    fn an_aborted_pending_connection_does_not_end_the_accept_loop() {
+        let dir = std::env::temp_dir().join(format!("redsim-net-{}-aborted", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Arc::new(
+            Engine::open(Arc::new(RealIo), &dir, EngineOptions::default()).expect("open engine"),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let (done_tx, done_rx) = mpsc::channel();
+        let server = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let mut aborted = false;
+                let accept = || {
+                    if std::mem::replace(&mut aborted, true) {
+                        listener.accept().map(|(stream, _peer)| Stream::Tcp(stream))
+                    } else {
+                        Err(io::ErrorKind::ConnectionAborted.into())
+                    }
+                };
+                let result =
+                    accept_loop(&engine, accept, move || TcpStream::connect(addr).map(drop));
+                done_tx.send(result.map_err(|e| e.kind())).expect("report");
+            })
+        };
+
+        let mut client = Client::connect_tcp(&addr.to_string()).expect("connect");
+        let pong = client
+            .request(&Json::obj().field("op", "ping"))
+            .expect("the connection after the aborted one is answered");
+        assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+        assert!(
+            !engine.stopped(),
+            "a retried error must not stop the engine"
+        );
+
+        drop(client);
+        engine.stop();
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the loop returns once the engine stops");
+        assert_eq!(result, Ok(()));
+        server.join().expect("server thread");
+        engine.close().expect("close");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

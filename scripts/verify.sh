@@ -246,13 +246,36 @@ chaos_smoke() {
     fi
 }
 
+# Waits for a daemon told to shut down to exit, and requires a clean
+# exit. The wait is bounded (10 s) so an accept loop that never wakes
+# fails the smoke instead of hanging CI.
+await_daemon_exit() {
+    local pid=$1 log=$2 i=0
+    while kill -0 "$pid" 2>/dev/null; do
+        i=$((i + 1))
+        if [ "$i" -ge 200 ]; then
+            echo "FAIL: redsim-serve did not exit within 10 s of shutdown" >&2
+            kill -9 "$pid" 2>/dev/null || true
+            cat "$log" >&2
+            exit 1
+        fi
+        sleep 0.05
+    done
+    wait "$pid" || {
+        echo "FAIL: redsim-serve exited with status $? after shutdown" >&2
+        cat "$log" >&2
+        exit 1
+    }
+}
+
 serve_smoke() {
     # The simulation-as-a-service daemon end-to-end with the real
     # binary: submit over TCP, scrape /metrics, `kill -9` the daemon,
     # restart it on the same state directory, and require the replayed
     # submission to be answered from the journal ("cached":true) with
-    # no re-assembly or re-emulation. The server log is kept as a file
-    # so CI can publish it as an artifact on failure.
+    # no re-assembly or re-emulation. A last round serves the same
+    # state directory on a unix socket. The server log is kept as a
+    # file so CI can publish it as an artifact on failure.
     echo "==> redsim-serve kill -9 / restart / cache smoke"
     local bin=target/release/redsim-serve
     local dir=target/serve-smoke
@@ -261,7 +284,7 @@ serve_smoke() {
     mkdir -p "$dir"
 
     start_daemon() {
-        "$bin" serve --state-dir "$dir" --workers 2 >>"$log" 2>&1 &
+        "$bin" serve --state-dir "$dir" --workers 2 "$@" >>"$log" 2>&1 &
         serve_pid=$!
         # The daemon writes `<state-dir>/endpoint` once it is listening.
         local i=0
@@ -325,7 +348,26 @@ serve_smoke() {
     }
 
     run "$bin" shutdown --state-dir "$dir"
-    wait "$serve_pid" 2>/dev/null || true
+    await_daemon_exit "$serve_pid" "$log"
+
+    # The unix-socket round: a new job through the endpoint file, then
+    # a shutdown that must end the daemon and remove its socket.
+    rm -f "$dir/endpoint"
+    start_daemon --unix "$dir/sock"
+    local third
+    third=$("$bin" submit --state-dir "$dir" --workload gzip \
+        --mode sie --wait | tail -1)
+    case "$third" in
+        '{"ok":true,'*'"cycles":'*) ;;
+        *) echo "FAIL: submission over the unix socket did not succeed: $third" >&2
+           cat "$log" >&2; exit 1 ;;
+    esac
+    run "$bin" shutdown --state-dir "$dir"
+    await_daemon_exit "$serve_pid" "$log"
+    if [ -e "$dir/sock" ]; then
+        echo "FAIL: redsim-serve left its unix socket behind" >&2
+        exit 1
+    fi
 }
 
 attribution_smoke() {
@@ -462,7 +504,7 @@ EOF
         echo "==> python3 unavailable; skipping the HTTP endpoint scrape"
     fi
     run "$serve" shutdown --state-dir "$dir"
-    wait "$serve_pid" 2>/dev/null || true
+    await_daemon_exit "$serve_pid" "$log"
 }
 
 benchmark_build() {
