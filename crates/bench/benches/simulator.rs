@@ -81,10 +81,7 @@ fn emulator_throughput(cases: &mut Vec<Case>, iters: (u32, u32)) {
 
 fn simulation_throughput(cases: &mut Vec<Case>, iters: (u32, u32)) {
     let w = Workload::Gzip;
-    let program = w.program(w.tiny_params()).unwrap();
-    let trace = redsim_isa::emu::Emulator::new(&program)
-        .record_trace(100_000_000)
-        .unwrap();
+    let trace = w.trace(w.tiny_params(), 100_000_000).unwrap();
     let cfg = MachineConfig::paper_baseline();
     for (mode, id) in [
         (ExecMode::Sie, "sim.sie.gzip.tiny"),
@@ -199,10 +196,7 @@ fn predictor_updates(cases: &mut Vec<Case>, iters: (u32, u32)) {
 /// numbers the regression gate compares.
 fn host_phase_profile() -> Json {
     let w = Workload::Gzip;
-    let program = w.program(w.tiny_params()).unwrap();
-    let trace = redsim_isa::emu::Emulator::new(&program)
-        .record_trace(100_000_000)
-        .unwrap();
+    let trace = w.trace(w.tiny_params(), 100_000_000).unwrap();
     let mut prof = HostProfiler::default();
     let mut tracer = NullTracer;
     let mut src = TraceSource::new(&trace);

@@ -32,8 +32,8 @@
 //!
 //! The binaries build their experiment grid as a list of [`Job`]s and
 //! hand it to [`Harness::sweep`], which materializes each workload's
-//! committed trace once (shared as a packed `Arc<Trace>`) and runs the grid
-//! in parallel.
+//! committed trace once (an `Arc<Trace>` recipe: program and count, which
+//! every job replays on its own emulator) and runs the grid in parallel.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -465,8 +465,8 @@ fn classify_sim_error(e: &redsim_core::SimError) -> JobErrorKind {
 }
 
 /// Runs one job, reporting its stats and the wall-clock throughput of
-/// the timing simulation (trace construction is excluded — the caller
-/// materializes traces up front).
+/// the timing simulation, the replay's emulation included (building the
+/// trace recipe is excluded — the caller materializes traces up front).
 ///
 /// # Errors
 ///
@@ -610,9 +610,8 @@ impl Harness {
     }
 
     /// The committed-path trace of a workload. Built once per workload
-    /// (the functional emulator is the expensive part) and shared by
-    /// reference count, so sweeps re-run the timing model over the
-    /// identical instruction stream without copying it.
+    /// (one counting emulator pass) and shared by reference count; every
+    /// job replays the identical instruction stream from it.
     pub fn trace(&mut self, w: Workload) -> Arc<Trace> {
         self.trace_for(w, None)
     }

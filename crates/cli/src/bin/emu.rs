@@ -26,10 +26,12 @@ fn main() {
 
     let committed = if let Some(trace_path) = args.value_of("--trace-out") {
         let trace = emu
-            .record_trace(budget)
+            .run_trace(budget)
             .unwrap_or_else(|e| die(&format!("execution failed: {e}")));
-        std::fs::write(trace_path, trace_io::encode(&trace))
+        let mut bytes = Vec::new();
+        trace_io::write_trace(&mut bytes, &trace)
             .unwrap_or_else(|e| die(&format!("{trace_path}: {e}")));
+        std::fs::write(trace_path, bytes).unwrap_or_else(|e| die(&format!("{trace_path}: {e}")));
         println!("trace: {} records -> {trace_path}", trace.len());
         trace.len() as u64
     } else {

@@ -24,10 +24,12 @@
 
 use redsim_cli::{die, load_program, usage, Args};
 use redsim_core::{
-    EventLog, ExecMode, FaultConfig, ForwardingPolicy, Instrumentation, MachineConfig,
-    MetricsCollector, MetricsSink, NullMetrics, NullTracer, SimStats, Simulator, TraceSource,
-    Tracer, DEFAULT_METRICS_WINDOW, REUSE_CLASS_NAMES,
+    EmulatorSource, EventLog, ExecMode, FaultConfig, ForwardingPolicy, Instrumentation,
+    MachineConfig, MetricsCollector, MetricsSink, NullMetrics, NullTracer, SimStats, Simulator,
+    SliceSource, Tracer, DEFAULT_METRICS_WINDOW, REUSE_CLASS_NAMES,
 };
+use redsim_isa::trace::DynInst;
+use redsim_isa::Program;
 use redsim_workloads::{Params, Workload};
 
 fn mode_of(s: &str) -> Option<ExecMode> {
@@ -225,7 +227,7 @@ fn main() {
 
     let stats = if let Some(trace_path) = args.value_of("--trace") {
         let trace = read_trace_file(trace_path);
-        sim.run_source_instrumented(&mut TraceSource::new(&trace), instr)
+        sim.run_source_instrumented(&mut SliceSource::new(&trace), instr)
     } else if let Some(name) = args.value_of("--workload") {
         let w = Workload::from_name(name).unwrap_or_else(|| {
             die(&format!(
@@ -278,9 +280,17 @@ fn main() {
 }
 
 /// Reads and decodes an `.rtrc` file, or exits with its error.
-fn read_trace_file(path: &str) -> redsim_isa::trace::Trace {
+fn read_trace_file(path: &str) -> Vec<DynInst> {
     let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     redsim_isa::trace_io::decode(&bytes).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+}
+
+/// What `--compare` runs each mode over.
+enum CompareInput {
+    /// The records of an `.rtrc` file.
+    Records(Vec<DynInst>),
+    /// A program, emulated afresh for each mode.
+    Program(Program),
 }
 
 /// `--compare`: run SIE, DIE and DIE-IRB over the same input and print
@@ -290,8 +300,8 @@ fn compare(args: &Args) {
     let budget = args
         .parsed_or("--budget", 200_000_000u64)
         .unwrap_or_else(|e| die(&e));
-    let trace = if let Some(trace_path) = args.value_of("--trace") {
-        read_trace_file(trace_path)
+    let input = if let Some(trace_path) = args.value_of("--trace") {
+        CompareInput::Records(read_trace_file(trace_path))
     } else if let Some(name) = args.value_of("--workload") {
         let w =
             Workload::from_name(name).unwrap_or_else(|| die(&format!("unknown workload `{name}`")));
@@ -301,14 +311,9 @@ fn compare(args: &Args) {
         let program = w
             .program(Params::new(scale, w.default_params().seed))
             .unwrap_or_else(|e| die(&format!("workload generation failed: {e}")));
-        redsim_isa::emu::Emulator::new(&program)
-            .record_trace(budget)
-            .unwrap_or_else(|e| die(&format!("execution failed: {e}")))
+        CompareInput::Program(program)
     } else if let Some(input) = args.positional().first() {
-        let program = load_program(input).unwrap_or_else(|e| die(&e));
-        redsim_isa::emu::Emulator::new(&program)
-            .record_trace(budget)
-            .unwrap_or_else(|e| die(&format!("execution failed: {e}")))
+        CompareInput::Program(load_program(input).unwrap_or_else(|e| die(&e)))
     } else {
         die("--compare needs a program, --trace or --workload");
     };
@@ -318,9 +323,12 @@ fn compare(args: &Args) {
     );
     let mut sie_ipc = 0.0;
     for mode in [ExecMode::Sie, ExecMode::Die, ExecMode::DieIrb] {
-        let stats = Simulator::new(cfg.clone(), mode)
-            .run_source(&mut TraceSource::new(&trace))
-            .unwrap_or_else(|e| die(&format!("simulation failed: {e}")));
+        let sim = Simulator::new(cfg.clone(), mode);
+        let stats = match &input {
+            CompareInput::Records(r) => sim.run_source(&mut SliceSource::new(r)),
+            CompareInput::Program(p) => sim.run_source(&mut EmulatorSource::new(p, budget)),
+        }
+        .unwrap_or_else(|e| die(&format!("simulation failed: {e}")));
         if mode == ExecMode::Sie {
             sie_ipc = stats.ipc();
         }

@@ -660,9 +660,7 @@ fn stats_source_trait_object_compatible() {
     let a = Simulator::new(cfg.clone(), ExecMode::Sie)
         .run_source(&mut emu_src)
         .unwrap();
-    let trace = redsim_isa::emu::Emulator::new(&p)
-        .record_trace(100)
-        .unwrap();
+    let trace = redsim_isa::trace::Trace::record(p, 100).unwrap();
     let mut trace_src = TraceSource::new(&trace);
     let b = Simulator::new(cfg, ExecMode::Sie)
         .run_source(&mut trace_src)

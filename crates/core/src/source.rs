@@ -9,9 +9,9 @@ use redsim_isa::{EmuError, Program};
 /// The timing models are trace-driven: they pull the committed path from
 /// a source and decide *when* each instruction moves through the
 /// machine. [`EmulatorSource`] runs the functional emulator lazily;
-/// [`TraceSource`] replays a pre-recorded packed trace (running many
-/// machine configurations over the identical instruction stream), and
-/// [`SliceSource`] a slice of decoded records.
+/// [`TraceSource`] replays a [`Trace`] recipe (running many machine
+/// configurations over the identical instruction stream), and
+/// [`SliceSource`] a slice of decoded records, such as an `.rtrc` file's.
 pub trait InstructionSource {
     /// The next committed instruction, or `None` at end of program.
     ///
@@ -95,37 +95,57 @@ impl InstructionSource for SliceSource<'_> {
     }
 }
 
-/// Replays a packed [`Trace`], decoding one record per instruction.
+/// Replays a [`Trace`] recipe: drives a fresh emulator over the
+/// trace's program, as [`EmulatorSource`] does, and fails with
+/// [`EmuError::TraceLength`] unless exactly `trace.len()` instructions
+/// commit before `halt`.
 ///
-/// The trace is borrowed, so a sweep can run many machine
-/// configurations over one shared `Arc<Trace>` without copying it.
+/// The emulator is deterministic, so every replay of one trace yields
+/// the same records; a sweep runs many machine configurations over one
+/// shared `Arc<Trace>`, each with its own source.
 #[derive(Debug, Clone)]
-pub struct TraceSource<'a> {
-    trace: &'a Trace,
-    pos: usize,
+pub struct TraceSource {
+    emu: Emulator,
+    len: u64,
 }
 
-impl<'a> TraceSource<'a> {
-    /// Creates a source replaying `trace` in order.
+impl TraceSource {
+    /// Creates a source replaying `trace` from its first instruction.
     #[must_use]
-    pub fn new(trace: &'a Trace) -> Self {
-        TraceSource { trace, pos: 0 }
+    pub fn new(trace: &Trace) -> Self {
+        TraceSource {
+            emu: Emulator::new(trace.program()),
+            len: trace.len() as u64,
+        }
     }
 
     /// Number of instructions remaining.
     #[must_use]
     pub fn remaining(&self) -> usize {
-        self.trace.len() - self.pos
+        self.len.saturating_sub(self.emu.committed()) as usize
     }
 }
 
-impl InstructionSource for TraceSource<'_> {
+impl InstructionSource for TraceSource {
     fn next_inst(&mut self) -> Result<Option<DynInst>, EmuError> {
-        let item = self.trace.get(self.pos);
-        if item.is_some() {
-            self.pos += 1;
+        let done = self.emu.committed();
+        if done == self.len {
+            return if self.emu.halted() {
+                Ok(None)
+            } else {
+                Err(EmuError::TraceLength {
+                    declared: self.len,
+                    halted_at: None,
+                })
+            };
         }
-        Ok(item)
+        match self.emu.step()? {
+            Some(d) => Ok(Some(d)),
+            None => Err(EmuError::TraceLength {
+                declared: self.len,
+                halted_at: Some(done),
+            }),
+        }
     }
 }
 
@@ -160,15 +180,14 @@ mod tests {
     #[test]
     fn trace_source_replays_in_order() {
         let p = assemble("main: li a0, 1\n add a1, a0, a0\n halt\n").unwrap();
-        let trace = redsim_isa::emu::Emulator::new(&p)
-            .record_trace(100)
-            .unwrap();
+        let trace = Trace::record(p.clone(), 100).unwrap();
         let mut s = TraceSource::new(&trace);
         assert_eq!(s.remaining(), 3);
-        for want in trace.iter() {
+        for want in Emulator::new(&p).run_trace(100).unwrap() {
             assert_eq!(s.next_inst().unwrap(), Some(want));
         }
         assert!(s.next_inst().unwrap().is_none());
+        assert!(s.next_inst().unwrap().is_none(), "stays exhausted");
         assert_eq!(s.remaining(), 0);
     }
 
@@ -183,11 +202,9 @@ mod tests {
     #[test]
     fn trace_and_slice_sources_stream_what_the_emulator_ran() {
         let p = assemble("main: li a0, 5\nloop: addi a0, a0, -1\n bnez a0, loop\n halt\n").unwrap();
-        let want = redsim_isa::emu::Emulator::new(&p).run_trace(100).unwrap();
-        let packed = redsim_isa::emu::Emulator::new(&p)
-            .record_trace(100)
-            .unwrap();
-        assert_eq!(drain(&mut TraceSource::new(&packed)), want);
+        let want = Emulator::new(&p).run_trace(100).unwrap();
+        let trace = Trace::record(p.clone(), 100).unwrap();
+        assert_eq!(drain(&mut TraceSource::new(&trace)), want);
         assert_eq!(drain(&mut SliceSource::new(&want)), want);
         assert_eq!(drain(&mut EmulatorSource::new(&p, 100)), want);
     }
@@ -195,7 +212,7 @@ mod tests {
     #[test]
     fn slice_source_tracks_remaining() {
         let p = assemble("main: li a0, 1\n halt\n").unwrap();
-        let trace = redsim_isa::emu::Emulator::new(&p).run_trace(100).unwrap();
+        let trace = Emulator::new(&p).run_trace(100).unwrap();
         let mut s = SliceSource::new(&trace);
         assert_eq!(s.remaining(), 2);
         s.next_inst().unwrap();

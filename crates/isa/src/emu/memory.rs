@@ -30,19 +30,22 @@ impl Memory {
         Self::default()
     }
 
-    /// Copies `bytes` into memory starting at `base`.
+    /// Copies `bytes` into memory starting at `base`, one page-sized
+    /// slice at a time.
     pub fn load_segment(&mut self, base: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8_raw(base + i as u64, b);
+        let mut addr = base;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            let page = self
+                .pages
+                .entry(addr >> PAGE_SHIFT)
+                .or_insert_with(|| Box::new([0; PAGE_SIZE]));
+            page[off..off + chunk.len()].copy_from_slice(chunk);
+            addr += chunk.len() as u64;
+            rest = tail;
         }
-    }
-
-    fn write_u8_raw(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = value;
     }
 
     fn check(&self, addr: u64, width: MemWidth, pc: u64) -> Result<(), EmuError> {
@@ -194,6 +197,44 @@ mod tests {
         m.load_segment(0x1000_0000, &[1, 2, 3]);
         assert_eq!(m.read(0x1000_0000, MemWidth::B1, 0).unwrap(), 1);
         assert_eq!(m.read(0x1000_0002, MemWidth::B1, 0).unwrap(), 3);
+    }
+
+    #[test]
+    fn page_wise_load_matches_byte_wise_writes() {
+        let page = PAGE_SIZE as u64;
+        let cases = [
+            (0x1000_0000, 0),
+            (0x1000_0000, 1),
+            (0x1000_0000, PAGE_SIZE),
+            (0x1000_0000 + page - 3, 7),
+            (0x1000_0000 + 5, PAGE_SIZE),
+            (0x1000_0000 + 100, 3 * PAGE_SIZE + 17),
+            (0x1000_0000 + page - 1, 2 * PAGE_SIZE + 2),
+        ];
+        for (base, len) in cases {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+            let mut paged = Memory::new();
+            paged.load_segment(base, &bytes);
+            let mut bytewise = Memory::new();
+            for (i, &b) in bytes.iter().enumerate() {
+                bytewise
+                    .write(base + i as u64, MemWidth::B1, u64::from(b), 0)
+                    .unwrap();
+            }
+            assert_eq!(
+                paged.resident_pages(),
+                bytewise.resident_pages(),
+                "base {base:#x} len {len}"
+            );
+            let span = (base & !PAGE_MASK) - page..(base + len as u64 + 2 * page) & !PAGE_MASK;
+            for addr in span {
+                assert_eq!(
+                    paged.read(addr, MemWidth::B1, 0),
+                    bytewise.read(addr, MemWidth::B1, 0),
+                    "base {base:#x} len {len} addr {addr:#x}"
+                );
+            }
+        }
     }
 }
 

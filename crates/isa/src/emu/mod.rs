@@ -15,7 +15,7 @@ use crate::inst::Inst;
 use crate::op::Opcode;
 use crate::program::{Program, STACK_TOP};
 use crate::reg::NUM_REGS;
-use crate::trace::{ControlOutcome, DynInst, OutputEvent, Trace};
+use crate::trace::{ControlOutcome, DynInst, OutputEvent};
 
 /// The functional emulator.
 ///
@@ -178,31 +178,6 @@ impl Emulator {
     pub fn run_trace(&mut self, budget: u64) -> Result<Vec<DynInst>, EmuError> {
         let mut out = Vec::new();
         self.run_each(budget, |rec| out.push(rec))?;
-        Ok(out)
-    }
-
-    /// Runs like [`run_trace`](Self::run_trace), appending each record
-    /// straight into a packed [`Trace`] (48 bytes per instruction, no
-    /// intermediate `Vec<DynInst>`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this emulator has already executed instructions: a
-    /// trace numbers its records from 0.
-    pub fn record_trace(&mut self, budget: u64) -> Result<Trace, EmuError> {
-        assert_eq!(self.seq, 0, "record_trace starts from a fresh emulator");
-        let mut out = Trace::new();
-        self.run_each(budget, |rec| {
-            // Emulator records satisfy every derivation rule, and PCs lie
-            // in the text segment at TEXT_BASE, which 32 bits cover up to
-            // 2^29 instructions of text.
-            out.push(&rec).expect("emulator records always pack");
-        })?;
-        out.records.shrink_to_fit();
         Ok(out)
     }
 

@@ -98,6 +98,15 @@ pub enum EmuError {
         /// Number of instructions that were executed.
         executed: u64,
     },
+    /// A replayed [`Trace`](crate::trace::Trace) committed a different
+    /// number of instructions than it declares.
+    TraceLength {
+        /// Instructions the trace declares.
+        declared: u64,
+        /// Instructions committed when the program halted, or `None`
+        /// when it was still running after `declared` of them.
+        halted_at: Option<u64>,
+    },
 }
 
 impl fmt::Display for EmuError {
@@ -116,6 +125,20 @@ impl fmt::Display for EmuError {
             EmuError::BudgetExhausted { executed } => write!(
                 f,
                 "instruction budget exhausted after {executed} instructions"
+            ),
+            EmuError::TraceLength {
+                declared,
+                halted_at: Some(n),
+            } => write!(
+                f,
+                "trace declares {declared} instructions but its program halted after {n}"
+            ),
+            EmuError::TraceLength {
+                declared,
+                halted_at: None,
+            } => write!(
+                f,
+                "trace declares {declared} instructions but its program runs past them"
             ),
         }
     }

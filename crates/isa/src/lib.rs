@@ -20,10 +20,11 @@
 //!   architecturally and emits a committed dynamic-instruction trace of
 //!   [`trace::DynInst`] records carrying operand *values*, results,
 //!   effective addresses and branch outcomes. A whole run is held as a
-//!   packed [`trace::Trace`] (48 bytes per instruction) and serialized by
-//!   [`trace_io`]. The timing models in `redsim-core` consume this trace,
-//!   and the instruction-reuse behaviour studied by the paper emerges
-//!   from the real values recorded here.
+//!   [`trace::Trace`] recipe (the program and its committed count) and
+//!   re-emulated on every replay; [`trace_io`] writes the records to
+//!   `.rtrc` files for interchange. The timing models in `redsim-core`
+//!   consume this trace, and the instruction-reuse behaviour studied by
+//!   the paper emerges from the real values recorded here.
 //! * **Tooling** — a [`disasm`] disassembler for debugging and reporting.
 //!
 //! # Examples

@@ -114,6 +114,15 @@ impl Program {
     pub fn addr_of(&self, index: usize) -> u64 {
         self.text_base + index as u64 * INST_BYTES
     }
+
+    /// Heap bytes of the image: its text, its data and its symbols'
+    /// names and addresses (the symbol map's node overhead aside).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.text.len() * std::mem::size_of::<Inst>()
+            + self.data.len()
+            + self.symbols.keys().map(|k| k.len() + 8).sum::<usize>()
+    }
 }
 
 impl fmt::Display for Program {

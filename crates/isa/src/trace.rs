@@ -8,17 +8,16 @@
 //! is what the hardware comparators of the DIE commit stage and the IRB
 //! reuse test would see.
 //!
-//! A whole committed path is held as a [`Trace`]: one contiguous buffer
-//! of fixed 48-byte [`PackedInst`] records, half the size of a
-//! [`DynInst`], because every field that can be derived from the others
-//! is dropped (see [`PackedInst`]). The values the reuse test compares —
-//! operands, result and effective address — are kept in every record.
+//! A whole committed path is held as a [`Trace`]: the program, its
+//! budget and its committed count, from which a replay re-emulates the
+//! records on demand. Records are stored only in `.rtrc` files, the
+//! interchange format of [`trace_io`](crate::trace_io).
 
-use std::fmt;
-
-use crate::encode::INST_BYTES;
+use crate::emu::Emulator;
+use crate::error::EmuError;
 use crate::inst::Inst;
-use crate::op::{OpClass, Opcode};
+use crate::op::OpClass;
+use crate::program::Program;
 
 /// Outcome of a control-flow instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,212 +95,94 @@ impl DynInst {
     }
 }
 
-/// [`PackedInst`] flag: `result` holds a value.
-const HAS_RESULT: u32 = 1;
-/// [`PackedInst`] flag: `addr` holds the effective address.
-const HAS_EA: u32 = 1 << 1;
-/// [`PackedInst`] flag: `addr` holds the control-flow target.
-const HAS_CONTROL: u32 = 1 << 2;
-/// [`PackedInst`] flag: the control transfer was taken.
-const TAKEN: u32 = 1 << 3;
-
-/// One committed instruction in 48 bytes:
-///
-/// ```text
-/// inst: Inst (8) | pc: u32 | flags: u32 | src1 | src2 | result | addr
-/// ```
-///
-/// Four [`DynInst`] fields are derived instead of stored: `seq` is the
-/// record's index in its [`Trace`]; `next_pc` is the target of a taken
-/// control transfer, `pc` for `halt` and the fall-through otherwise; the
-/// `Option` tags are flag bits; and the effective address and the
-/// control target share `addr`, since no instruction has both.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(C)]
-pub struct PackedInst {
-    pub(crate) inst: Inst,
-    pub(crate) pc: u32,
-    pub(crate) flags: u32,
-    pub(crate) src1: u64,
-    pub(crate) src2: u64,
-    pub(crate) result: u64,
-    pub(crate) addr: u64,
-}
-
-const _: () = assert!(std::mem::size_of::<PackedInst>() == 48);
-
-impl PackedInst {
-    /// Packs `d` as the record at index `seq`, or `None` when `d` is not
-    /// one the derivation rules reproduce exactly.
-    fn pack(d: &DynInst, seq: u64) -> Option<Self> {
-        let mut flags = 0;
-        let mut addr = 0;
-        if let Some(ea) = d.ea {
-            flags |= HAS_EA;
-            addr = ea;
-        }
-        if let Some(c) = d.control {
-            if d.ea.is_some() {
-                return None;
-            }
-            flags |= HAS_CONTROL | if c.taken { TAKEN } else { 0 };
-            addr = c.target;
-        }
-        if d.result.is_some() {
-            flags |= HAS_RESULT;
-        }
-        let p = PackedInst {
-            inst: d.inst,
-            pc: u32::try_from(d.pc).ok()?,
-            flags,
-            src1: d.src1,
-            src2: d.src2,
-            result: d.result.unwrap_or(0),
-            addr,
-        };
-        (d.seq == seq && Self::flags_valid(flags, d.inst.op) && p.next_pc() == d.next_pc)
-            .then_some(p)
-    }
-
-    /// `true` when `flags` is a combination a record of `op` can hold: no
-    /// unknown bits, `TAKEN` only on a control transfer, an effective
-    /// address exactly on loads and stores, and a control target exactly
-    /// on branches and jumps (so never both).
-    pub(crate) fn flags_valid(flags: u32, op: Opcode) -> bool {
-        flags & !(HAS_RESULT | HAS_EA | HAS_CONTROL | TAKEN) == 0
-            && (flags & TAKEN == 0 || flags & HAS_CONTROL != 0)
-            && (flags & HAS_EA != 0) == op.is_mem()
-            && (flags & HAS_CONTROL != 0) == op.is_control()
-    }
-
-    fn next_pc(&self) -> u64 {
-        let pc = u64::from(self.pc);
-        if self.flags & TAKEN != 0 {
-            self.addr
-        } else if self.inst.op == Opcode::Halt {
-            pc
-        } else {
-            pc + INST_BYTES
-        }
-    }
-
-    /// The full record, given its index in the trace.
-    #[must_use]
-    pub fn unpack(&self, seq: u64) -> DynInst {
-        let has = |bit| self.flags & bit != 0;
-        DynInst {
-            seq,
-            pc: u64::from(self.pc),
-            inst: self.inst,
-            src1: self.src1,
-            src2: self.src2,
-            result: has(HAS_RESULT).then_some(self.result),
-            ea: has(HAS_EA).then_some(self.addr),
-            control: has(HAS_CONTROL).then_some(ControlOutcome {
-                taken: has(TAKEN),
-                target: self.addr,
-            }),
-            next_pc: self.next_pc(),
-        }
-    }
-}
-
-/// A [`DynInst`] that [`Trace::push`] cannot store: its `seq` is not its
-/// index in the trace, its `pc` does not fit 32 bits, it carries an
-/// effective address or a control outcome its opcode does not produce
-/// (or lacks one it does), or its `next_pc` is not the one the
-/// derivation rules give. Emulator records are never refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackError {
-    /// The index the record would have taken.
-    pub index: u64,
-}
-
-impl fmt::Display for PackError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "record {} is not an emulator record the packed trace can hold",
-            self.index
-        )
-    }
-}
-
-impl std::error::Error for PackError {}
-
-/// A committed-path trace: one contiguous buffer of [`PackedInst`]
-/// records, decoded back to a [`DynInst`] on access.
+/// A committed-path trace held as a replay recipe: the program, the
+/// instruction budget it runs under and the number of instructions it
+/// commits. The records themselves are never stored; a replay (the
+/// timing models' `TraceSource`) re-runs the program on a fresh
+/// [`Emulator`], which is deterministic, so every replay yields the
+/// same records, and checks that exactly [`len`](Self::len) of them
+/// come out. The recipe costs the program's bytes, not 48 or 96 bytes
+/// per instruction.
 ///
 /// # Examples
 ///
 /// ```
-/// use redsim_isa::{asm::assemble, emu::Emulator};
+/// use redsim_isa::asm::assemble;
+/// use redsim_isa::trace::Trace;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = assemble("main: li a0, 2\n add a1, a0, a0\n halt\n")?;
-/// let trace = Emulator::new(&p).record_trace(100)?;
+/// let trace = Trace::record(p.clone(), 100)?;
 /// assert_eq!(trace.len(), 3);
-/// assert_eq!(trace.get(1).unwrap().result, Some(4));
-/// assert_eq!(trace.heap_bytes(), 3 * 48);
+/// assert_eq!(trace.program(), &p);
+/// assert_eq!(trace.heap_bytes(), p.heap_bytes());
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    pub(crate) records: Vec<PackedInst>,
+    program: Program,
+    budget: u64,
+    len: u64,
 }
 
 impl Trace {
-    /// An empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of records.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when the trace holds no records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The record at `index`, decoded.
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<DynInst> {
-        self.records.get(index).map(|p| p.unpack(index as u64))
-    }
-
-    /// Every record, decoded, in commit order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = DynInst> + '_ {
-        self.records
-            .iter()
-            .enumerate()
-            .map(|(i, p)| p.unpack(i as u64))
-    }
-
-    /// Appends `d` as the next record.
+    /// Runs `program` once on a fresh emulator, counting the
+    /// instructions it commits before `halt`.
     ///
     /// # Errors
     ///
-    /// [`PackError`] when `d` cannot be stored losslessly; the trace is
-    /// left unchanged.
-    pub fn push(&mut self, d: &DynInst) -> Result<(), PackError> {
-        let index = self.len() as u64;
-        let p = PackedInst::pack(d, index).ok_or(PackError { index })?;
-        self.records.push(p);
-        Ok(())
+    /// [`EmuError::BudgetExhausted`] when the program does not halt
+    /// within `budget` instructions, or any execution fault.
+    pub fn record(program: Program, budget: u64) -> Result<Self, EmuError> {
+        let len = Emulator::new(&program).run(budget)?;
+        Ok(Trace {
+            program,
+            budget,
+            len,
+        })
     }
 
-    /// Heap bytes the record buffer occupies (its capacity, not only
-    /// its length).
+    /// A recipe from its parts, as persisted. The count is not checked
+    /// here: a replay that commits any other number of instructions
+    /// fails with [`EmuError::TraceLength`].
+    #[must_use]
+    pub fn from_parts(program: Program, budget: u64, len: u64) -> Self {
+        Trace {
+            program,
+            budget,
+            len,
+        }
+    }
+
+    /// The program a replay runs.
+    #[must_use]
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The instruction budget the trace was recorded under.
+    #[must_use]
+    pub fn budget(&self) -> u64 {
+        self.budget
+    }
+
+    /// Number of committed instructions.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` when the program commits no instruction.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Heap bytes the recipe occupies: its program's.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.records.capacity() * std::mem::size_of::<PackedInst>()
+        self.program.heap_bytes()
     }
 }
 
@@ -367,70 +248,5 @@ mod tests {
             next_pc: 0x1018,
         };
         assert_eq!(d.fallthrough_pc(), 0x1018);
-    }
-
-    fn nop_at(seq: u64, pc: u64) -> DynInst {
-        DynInst {
-            seq,
-            pc,
-            inst: Inst::NOP,
-            src1: 0,
-            src2: 0,
-            result: None,
-            ea: None,
-            control: None,
-            next_pc: pc + 8,
-        }
-    }
-
-    #[test]
-    fn push_refuses_what_the_derivation_rules_cannot_reproduce() {
-        let mut t = Trace::new();
-        t.push(&nop_at(0, 0x1000))
-            .expect("an emulator-shaped record packs");
-        let refused = [
-            nop_at(5, 0x1008),
-            nop_at(1, 1 << 32),
-            DynInst {
-                next_pc: 0x2000,
-                ..nop_at(1, 0x1008)
-            },
-            DynInst {
-                ea: Some(0x40),
-                control: Some(ControlOutcome {
-                    taken: false,
-                    target: 0x2000,
-                }),
-                ..nop_at(1, 0x1008)
-            },
-            DynInst {
-                ea: Some(0x40),
-                ..nop_at(1, 0x1008)
-            },
-        ];
-        for d in refused {
-            assert_eq!(t.push(&d), Err(PackError { index: 1 }), "{d:?}");
-        }
-        assert_eq!(t.len(), 1, "a refused push leaves the trace unchanged");
-    }
-
-    #[test]
-    fn flag_validity() {
-        let valid = PackedInst::flags_valid;
-        assert!(valid(0, Opcode::Nop));
-        assert!(valid(HAS_RESULT, Opcode::Add));
-        assert!(valid(HAS_RESULT | HAS_EA, Opcode::Ld));
-        assert!(valid(HAS_EA, Opcode::Sd));
-        assert!(valid(HAS_CONTROL, Opcode::Beq));
-        assert!(valid(HAS_RESULT | HAS_CONTROL | TAKEN, Opcode::Jal));
-        assert!(!valid(1 << 4, Opcode::Nop), "unknown bit");
-        assert!(!valid(TAKEN, Opcode::Nop), "taken without control");
-        assert!(!valid(HAS_EA | HAS_CONTROL, Opcode::Ld), "ea with control");
-        assert!(!valid(HAS_RESULT, Opcode::Ld), "load without ea");
-        assert!(!valid(0, Opcode::Sd), "store without ea");
-        assert!(!valid(0, Opcode::Beq), "branch without control");
-        assert!(!valid(HAS_RESULT, Opcode::Jal), "jump without control");
-        assert!(!valid(HAS_RESULT | HAS_EA, Opcode::Add), "ea on an ALU op");
-        assert!(!valid(HAS_CONTROL, Opcode::Add), "control on an ALU op");
     }
 }

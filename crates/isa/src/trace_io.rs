@@ -1,10 +1,11 @@
-//! Binary serialization of committed-path traces, so expensive
-//! functional runs can be captured once and replayed across many
-//! machine configurations (or machines).
+//! The `.rtrc` trace file: committed-path records written out, so a
+//! functional run can be handed to another tool or machine
+//! (`redsim-emu --trace-out`, `redsim-sim --trace`). In process, a
+//! trace is a [`Trace`](crate::trace::Trace) recipe and is never held
+//! as records; this format is for interchange only.
 //!
 //! Layout (format version 2): `"RTRC"` magic, `u16` version, `u64`
-//! record count, then one fixed-width 48-byte record per instruction —
-//! the in-memory [`PackedInst`] in
+//! record count, then one fixed-width 48-byte record per instruction,
 //! little-endian, with the instruction as its encoded word:
 //!
 //! ```text
@@ -30,14 +31,141 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use crate::encode;
-use crate::trace::{DynInst, PackError, PackedInst, Trace};
+use crate::encode::{self, INST_BYTES};
+use crate::inst::Inst;
+use crate::op::Opcode;
+use crate::trace::{ControlOutcome, DynInst};
 
 const MAGIC: &[u8; 4] = b"RTRC";
 const VERSION: u16 = 2;
 const HEADER_BYTES: usize = 14;
 /// Bytes per record on disk.
 pub const RECORD_BYTES: usize = 48;
+
+/// Record flag: `result` holds a value.
+const HAS_RESULT: u32 = 1;
+/// Record flag: `addr` holds the effective address.
+const HAS_EA: u32 = 1 << 1;
+/// Record flag: `addr` holds the control-flow target.
+const HAS_CONTROL: u32 = 1 << 2;
+/// Record flag: the control transfer was taken.
+const TAKEN: u32 = 1 << 3;
+
+/// One record of the file, decoded from or bound for its 48 bytes.
+///
+/// Four [`DynInst`] fields are derived instead of stored: `seq` is the
+/// record's index in the file; `next_pc` is the target of a taken
+/// control transfer, `pc` for `halt` and the fall-through otherwise; the
+/// `Option` tags are flag bits; and the effective address and the
+/// control target share `addr`, since no instruction has both.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PackedInst {
+    inst: Inst,
+    pc: u32,
+    flags: u32,
+    src1: u64,
+    src2: u64,
+    result: u64,
+    addr: u64,
+}
+
+impl PackedInst {
+    /// Packs `d` as the record at index `seq`, or `None` when `d` is not
+    /// one the derivation rules reproduce exactly.
+    fn pack(d: &DynInst, seq: u64) -> Option<Self> {
+        let mut flags = 0;
+        let mut addr = 0;
+        if let Some(ea) = d.ea {
+            flags |= HAS_EA;
+            addr = ea;
+        }
+        if let Some(c) = d.control {
+            if d.ea.is_some() {
+                return None;
+            }
+            flags |= HAS_CONTROL | if c.taken { TAKEN } else { 0 };
+            addr = c.target;
+        }
+        if d.result.is_some() {
+            flags |= HAS_RESULT;
+        }
+        let p = PackedInst {
+            inst: d.inst,
+            pc: u32::try_from(d.pc).ok()?,
+            flags,
+            src1: d.src1,
+            src2: d.src2,
+            result: d.result.unwrap_or(0),
+            addr,
+        };
+        (d.seq == seq && Self::flags_valid(flags, d.inst.op) && p.next_pc() == d.next_pc)
+            .then_some(p)
+    }
+
+    /// `true` when `flags` is a combination a record of `op` can hold: no
+    /// unknown bits, `TAKEN` only on a control transfer, an effective
+    /// address exactly on loads and stores, and a control target exactly
+    /// on branches and jumps (so never both).
+    fn flags_valid(flags: u32, op: Opcode) -> bool {
+        flags & !(HAS_RESULT | HAS_EA | HAS_CONTROL | TAKEN) == 0
+            && (flags & TAKEN == 0 || flags & HAS_CONTROL != 0)
+            && (flags & HAS_EA != 0) == op.is_mem()
+            && (flags & HAS_CONTROL != 0) == op.is_control()
+    }
+
+    fn next_pc(&self) -> u64 {
+        let pc = u64::from(self.pc);
+        if self.flags & TAKEN != 0 {
+            self.addr
+        } else if self.inst.op == Opcode::Halt {
+            pc
+        } else {
+            pc + INST_BYTES
+        }
+    }
+
+    /// The full record, given its index in the file.
+    fn unpack(&self, seq: u64) -> DynInst {
+        let has = |bit| self.flags & bit != 0;
+        DynInst {
+            seq,
+            pc: u64::from(self.pc),
+            inst: self.inst,
+            src1: self.src1,
+            src2: self.src2,
+            result: has(HAS_RESULT).then_some(self.result),
+            ea: has(HAS_EA).then_some(self.addr),
+            control: has(HAS_CONTROL).then_some(ControlOutcome {
+                taken: has(TAKEN),
+                target: self.addr,
+            }),
+            next_pc: self.next_pc(),
+        }
+    }
+}
+
+/// A [`DynInst`] that [`write_trace`] cannot store: its `seq` is not its
+/// index in the trace, its `pc` does not fit 32 bits, it carries an
+/// effective address or a control outcome its opcode does not produce
+/// (or lacks one it does), or its `next_pc` is not the one the
+/// derivation rules give. Emulator records are never refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackError {
+    /// The index the record would have taken.
+    pub index: u64,
+}
+
+impl fmt::Display for PackError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "record {} is not an emulator record a trace file can hold",
+            self.index
+        )
+    }
+}
+
+impl Error for PackError {}
 
 /// An error produced while reading or writing a trace.
 #[derive(Debug)]
@@ -113,24 +241,6 @@ impl From<crate::DecodeError> for TraceIoError {
     }
 }
 
-/// Serializes a trace.
-#[must_use]
-pub fn encode(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + trace.len() * RECORD_BYTES);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
-    for p in &trace.records {
-        out.extend_from_slice(&encode::encode(&p.inst).to_le_bytes());
-        out.extend_from_slice(&p.pc.to_le_bytes());
-        out.extend_from_slice(&p.flags.to_le_bytes());
-        for v in [p.src1, p.src2, p.result, p.addr] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
 fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("an 8-byte field"))
 }
@@ -139,14 +249,15 @@ fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes(b.try_into().expect("a 4-byte field"))
 }
 
-/// Deserializes a trace from the whole of `bytes`.
+/// Decodes a trace file from the whole of `bytes`: the checked
+/// decoder for this untrusted input.
 ///
 /// # Errors
 ///
 /// A short header is an [`io::ErrorKind::UnexpectedEof`]; then bad
 /// magic or version, a count that disagrees with the body, an
 /// undecodable instruction word, or a flag word invalid for its opcode.
-pub fn decode(bytes: &[u8]) -> Result<Trace, TraceIoError> {
+pub fn decode(bytes: &[u8]) -> Result<Vec<DynInst>, TraceIoError> {
     let Some((header, body)) = bytes.split_at_checked(HEADER_BYTES) else {
         return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
     };
@@ -176,7 +287,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceIoError> {
                 flags,
             });
         }
-        records.push(PackedInst {
+        let p = PackedInst {
             inst,
             pc: le_u32(&r[8..12]),
             flags,
@@ -184,28 +295,37 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceIoError> {
             src2: le_u64(&r[24..32]),
             result: le_u64(&r[32..40]),
             addr: le_u64(&r[40..48]),
-        });
+        };
+        records.push(p.unpack(i as u64));
     }
-    Ok(Trace { records })
+    Ok(records)
 }
 
-/// Writes a trace of [`DynInst`] records to `w` in the packed format.
+/// Writes a trace of [`DynInst`] records to `w` as a version-2 file.
 ///
 /// A `&mut` reference can be passed for any `W: Write`.
 ///
 /// # Errors
 ///
 /// [`TraceIoError::Unpackable`] for a record that is not shaped like an
-/// emulator record (see [`Trace::push`]); otherwise I/O errors from the
-/// writer.
+/// emulator record (see [`PackError`]), before anything is written;
+/// otherwise I/O errors from the writer.
 pub fn write_trace<W: Write>(mut w: W, trace: &[DynInst]) -> Result<(), TraceIoError> {
-    let mut packed = Trace {
-        records: Vec::with_capacity(trace.len()),
-    };
-    for d in trace {
-        packed.push(d).map_err(TraceIoError::Unpackable)?;
+    let mut out = Vec::with_capacity(HEADER_BYTES + trace.len() * RECORD_BYTES);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+    for (i, d) in trace.iter().enumerate() {
+        let index = i as u64;
+        let p = PackedInst::pack(d, index).ok_or(TraceIoError::Unpackable(PackError { index }))?;
+        out.extend_from_slice(&encode::encode(&p.inst).to_le_bytes());
+        out.extend_from_slice(&p.pc.to_le_bytes());
+        out.extend_from_slice(&p.flags.to_le_bytes());
+        for v in [p.src1, p.src2, p.result, p.addr] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
     }
-    w.write_all(&encode(&packed))?;
+    w.write_all(&out)?;
     Ok(())
 }
 
@@ -219,7 +339,7 @@ pub fn write_trace<W: Write>(mut w: W, trace: &[DynInst]) -> Result<(), TraceIoE
 pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<DynInst>, TraceIoError> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
-    Ok(decode(&bytes)?.iter().collect())
+    decode(&bytes)
 }
 
 #[cfg(test)]
@@ -309,10 +429,7 @@ mod tests {
         let t = sample_trace();
         let ld = t.iter().position(|d| d.inst.op.is_load()).unwrap();
         let br = t.iter().position(|d| d.inst.op.is_branch()).unwrap();
-        let alu = t
-            .iter()
-            .position(|d| d.inst.op == crate::Opcode::Addi)
-            .unwrap();
+        let alu = t.iter().position(|d| d.inst.op == Opcode::Addi).unwrap();
         // Flag bits: 0 result, 1 ea, 2 control, 3 taken. The load's
         // are result | ea, the branch's control (| taken).
         let cases = [
@@ -344,6 +461,68 @@ mod tests {
         let mut buf = sample_bytes();
         buf[HEADER_BYTES] = 0xff;
         assert!(matches!(decode(&buf), Err(TraceIoError::Decode(_))));
+    }
+
+    fn nop_at(seq: u64, pc: u64) -> DynInst {
+        DynInst {
+            seq,
+            pc,
+            inst: Inst::NOP,
+            src1: 0,
+            src2: 0,
+            result: None,
+            ea: None,
+            control: None,
+            next_pc: pc + 8,
+        }
+    }
+
+    #[test]
+    fn pack_refuses_what_the_derivation_rules_cannot_reproduce() {
+        assert!(PackedInst::pack(&nop_at(1, 0x1008), 1).is_some());
+        let refused = [
+            nop_at(5, 0x1008),
+            nop_at(1, 1 << 32),
+            DynInst {
+                next_pc: 0x2000,
+                ..nop_at(1, 0x1008)
+            },
+            DynInst {
+                ea: Some(0x40),
+                control: Some(ControlOutcome {
+                    taken: false,
+                    target: 0x2000,
+                }),
+                ..nop_at(1, 0x1008)
+            },
+            DynInst {
+                ea: Some(0x40),
+                ..nop_at(1, 0x1008)
+            },
+        ];
+        for d in refused {
+            assert_eq!(PackedInst::pack(&d, 1), None, "{d:?}");
+        }
+    }
+
+    #[test]
+    fn flag_validity() {
+        let valid = PackedInst::flags_valid;
+        assert!(valid(0, Opcode::Nop));
+        assert!(valid(HAS_RESULT, Opcode::Add));
+        assert!(valid(HAS_RESULT | HAS_EA, Opcode::Ld));
+        assert!(valid(HAS_EA, Opcode::Sd));
+        assert!(valid(HAS_CONTROL, Opcode::Beq));
+        assert!(valid(HAS_RESULT | HAS_CONTROL | TAKEN, Opcode::Jal));
+        assert!(!valid(1 << 4, Opcode::Nop), "unknown bit");
+        assert!(!valid(TAKEN, Opcode::Nop), "taken without control");
+        assert!(!valid(HAS_EA | HAS_CONTROL, Opcode::Ld), "ea with control");
+        assert!(!valid(HAS_RESULT, Opcode::Ld), "load without ea");
+        assert!(!valid(0, Opcode::Sd), "store without ea");
+        assert!(!valid(0, Opcode::Beq), "branch without control");
+        assert!(!valid(HAS_RESULT, Opcode::Jal), "jump without control");
+        assert!(!valid(HAS_RESULT | HAS_EA, Opcode::Add), "ea on an ALU op");
+        assert!(!valid(HAS_CONTROL, Opcode::Add), "control on an ALU op");
     }
 
     #[test]

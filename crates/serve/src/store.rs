@@ -8,43 +8,58 @@
 //! revision — bump it whenever their semantics change and every old
 //! entry silently misses). Two requests that would emulate the same
 //! instruction stream therefore share one trace, within a process via
-//! an in-memory map and across processes via `.rtrc` files persisted
-//! with [`redsim_util::io::atomic_write`].
+//! an in-memory map and across processes via `.rtrp` entry files
+//! persisted with [`redsim_util::io::atomic_write`]. Deriving a key
+//! generates the kernel's whole source, so each store remembers the key
+//! of every (workload, scale, seed, budget) it has been asked for.
 //!
-//! Both tiers hold the packed 48-byte-per-instruction form: the memory
-//! tier keeps each [`Trace`] as built or decoded, and a disk entry is
-//! its [`trace_io`] v2 encoding, byte for byte the same records.
-//! [`TraceStore::resident_bytes`] reports what the memory tier holds.
+//! Both tiers hold a [`Trace`] recipe, the program and its committed
+//! count, never the records. The memory tier keeps each recipe as built
+//! or decoded; [`TraceStore::resident_bytes`] reports the bytes of its
+//! programs. A disk entry is the recipe in a checksummed frame (all
+//! integers little-endian):
 //!
-//! A disk entry that fails to read (torn by a crash mid-persist, a
-//! corrupt header or record, or a foreign format version such as v1) is
-//! treated as a miss and rebuilt over — the store is a cache, never an
-//! authority.
+//! ```text
+//! "RTSE" | version u32 | budget u64 | count u64 | RSIM program container | fx64 u64
+//! ```
+//!
+//! where the version is [`TRACE_STORE_VERSION`] and the fx64 checksum
+//! covers every byte before it. An entry that fails to read (torn by a
+//! crash mid-persist, any bit flipped, a foreign version, a budget other
+//! than the one asked for, or a count past it) is treated as a miss and
+//! rebuilt over — the store is a cache, never an authority.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use redsim_isa::container;
 use redsim_isa::trace::Trace;
-use redsim_isa::trace_io;
 use redsim_util::hash::fx64;
 use redsim_util::io::{atomic_write, Io};
-use redsim_workloads::WorkloadError;
+use redsim_workloads::{Workload, WorkloadError};
 
 use crate::spec::JobSpec;
 
 /// Version of the key derivation *and* of the toolchain whose output
 /// the store caches. Part of every key, so bumping it invalidates all
 /// prior entries without touching them.
-pub const TRACE_STORE_VERSION: u32 = 1;
+pub const TRACE_STORE_VERSION: u32 = 2;
+
+/// Magic of a disk entry.
+const ENTRY_MAGIC: &[u8; 4] = b"RTSE";
+/// Magic, version, budget and count.
+const ENTRY_HEADER_BYTES: usize = 24;
+/// The trailing fx64 checksum.
+const CHECKSUM_BYTES: usize = 8;
 
 /// Where a requested trace came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOrigin {
     /// Served from the in-process map.
     Memory,
-    /// Deserialized from a persisted `.rtrc` entry.
+    /// Deserialized from a persisted `.rtrp` entry.
     Disk,
     /// Assembled and emulated from source (then persisted).
     Built,
@@ -64,8 +79,13 @@ pub struct StoreStats {
     pub persist_failures: u64,
 }
 
+/// What a trace key is derived from besides the store version:
+/// workload, scale, input seed and budget.
+type KeyInput = (Workload, u32, u64, u64);
+
 struct StoreState {
     mem: HashMap<u64, Arc<Trace>>,
+    keys: HashMap<KeyInput, u64>,
     stats: StoreStats,
 }
 
@@ -102,6 +122,7 @@ impl TraceStore {
             sync,
             state: Mutex::new(StoreState {
                 mem: HashMap::new(),
+                keys: HashMap::new(),
                 stats: StoreStats::default(),
             }),
         })
@@ -125,10 +146,27 @@ impl TraceStore {
         fx64(pre_image.as_bytes())
     }
 
+    /// [`trace_key`](Self::trace_key), derived once per (workload,
+    /// scale, seed, budget) this store is asked for.
+    fn key(&self, spec: &JobSpec, budget: u64) -> u64 {
+        let params = spec.params();
+        let input = (spec.workload, params.scale, params.seed, budget);
+        let known = self.lock().keys.get(&input).copied();
+        known.unwrap_or_else(|| {
+            let key = Self::trace_key(spec, budget);
+            self.lock().keys.insert(input, key);
+            key
+        })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, StoreState> {
+        self.state.lock().expect("trace store lock")
+    }
+
     /// The on-disk path of a key's entry.
     #[must_use]
     pub fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.rtrc"))
+        self.dir.join(format!("{key:016x}.rtrp"))
     }
 
     /// Store counters so far.
@@ -138,7 +176,7 @@ impl TraceStore {
     /// Panics if the store mutex was poisoned by a panicking thread.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        self.state.lock().expect("trace store lock").stats
+        self.lock().stats
     }
 
     /// The trace for a spec: in-memory map, then disk, then a full
@@ -160,9 +198,9 @@ impl TraceStore {
         spec: &JobSpec,
         budget: u64,
     ) -> Result<(Arc<Trace>, TraceOrigin), WorkloadError> {
-        let key = Self::trace_key(spec, budget);
+        let key = self.key(spec, budget);
         {
-            let mut st = self.state.lock().expect("trace store lock");
+            let mut st = self.lock();
             if let Some(t) = st.mem.get(&key) {
                 let t = Arc::clone(t);
                 st.stats.mem_hits += 1;
@@ -171,9 +209,9 @@ impl TraceStore {
         }
         let path = self.path_for(key);
         if self.io.exists(&path) {
-            if let Some(trace) = read_entry(&path) {
+            if let Some(trace) = read_entry(&path, budget) {
                 let trace = Arc::new(trace);
-                let mut st = self.state.lock().expect("trace store lock");
+                let mut st = self.lock();
                 st.mem.insert(key, Arc::clone(&trace));
                 st.stats.disk_hits += 1;
                 return Ok((trace, TraceOrigin::Disk));
@@ -181,7 +219,7 @@ impl TraceStore {
         }
         let trace = Arc::new(spec.workload.trace(spec.params(), budget)?);
         let persisted = self.persist(&path, &trace).is_ok();
-        let mut st = self.state.lock().expect("trace store lock");
+        let mut st = self.lock();
         st.mem.insert(key, Arc::clone(&trace));
         st.stats.builds += 1;
         if !persisted {
@@ -191,28 +229,66 @@ impl TraceStore {
     }
 
     fn persist(&self, path: &Path, trace: &Trace) -> io::Result<()> {
-        atomic_write(self.io.as_ref(), path, &trace_io::encode(trace), self.sync)
+        atomic_write(self.io.as_ref(), path, &encode_entry(trace), self.sync)
     }
 
-    /// Heap bytes the memory tier's traces occupy.
+    /// Heap bytes of the programs the memory tier holds.
     ///
     /// # Panics
     ///
     /// Panics if the store mutex was poisoned by a panicking thread.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        let st = self.state.lock().expect("trace store lock");
-        st.mem.values().map(|t| t.heap_bytes() as u64).sum()
+        self.lock()
+            .mem
+            .values()
+            .map(|t| t.heap_bytes() as u64)
+            .sum()
     }
 }
 
-/// Reads a persisted entry, treating any failure — a torn file, a
-/// corrupt header or record, a foreign format version — as a miss.
-/// Reads go through `std::fs` directly: the [`Io`] fault seam covers the
-/// durability path, and chaos backends pass reads through untouched
-/// anyway.
-fn read_entry(path: &Path) -> Option<Trace> {
-    trace_io::decode(&std::fs::read(path).ok()?).ok()
+/// A trace's disk entry (layout in the module docs).
+fn encode_entry(trace: &Trace) -> Vec<u8> {
+    let program = container::to_bytes(trace.program());
+    let mut out = Vec::with_capacity(ENTRY_HEADER_BYTES + program.len() + CHECKSUM_BYTES);
+    out.extend_from_slice(ENTRY_MAGIC);
+    out.extend_from_slice(&TRACE_STORE_VERSION.to_le_bytes());
+    out.extend_from_slice(&trace.budget().to_le_bytes());
+    out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+    out.extend_from_slice(&program);
+    let checksum = fx64(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// The trace a disk entry holds, or `None` unless the checksum matches,
+/// the magic and version are this store's, the budget is `budget`, the
+/// count fits within it and the program container decodes.
+fn decode_entry(bytes: &[u8], budget: u64) -> Option<Trace> {
+    let (body, checksum) = bytes.split_at_checked(bytes.len().checked_sub(CHECKSUM_BYTES)?)?;
+    if checksum != fx64(body).to_le_bytes() {
+        return None;
+    }
+    let (header, program) = body.split_at_checked(ENTRY_HEADER_BYTES)?;
+    let u64_at = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let len = u64_at(16);
+    let valid = &header[..4] == ENTRY_MAGIC
+        && header[4..8] == TRACE_STORE_VERSION.to_le_bytes()
+        && u64_at(8) == budget
+        && len <= budget;
+    if !valid {
+        return None;
+    }
+    let program = container::from_bytes(program).ok()?;
+    Some(Trace::from_parts(program, budget, len))
+}
+
+/// Reads a persisted entry, treating any failure — a torn or corrupt
+/// file, a foreign version — as a miss. Reads go through `std::fs`
+/// directly: the [`Io`] fault seam covers the durability path, and
+/// chaos backends pass reads through untouched anyway.
+fn read_entry(path: &Path, budget: u64) -> Option<Trace> {
+    decode_entry(&std::fs::read(path).ok()?, budget)
 }
 
 #[cfg(test)]
@@ -264,6 +340,7 @@ mod tests {
 
         let store = TraceStore::open(Arc::clone(&io), dir.clone(), false).expect("open");
         let (t1, o1) = store.get(&spec, 2_000_000).expect("build");
+        assert_eq!(store.resident_bytes(), t1.program().heap_bytes() as u64);
         assert_eq!(o1, TraceOrigin::Built);
         let (t2, o2) = store.get(&spec, 2_000_000).expect("mem hit");
         assert_eq!(o2, TraceOrigin::Memory);
@@ -281,7 +358,7 @@ mod tests {
         let store2 = TraceStore::open(Arc::clone(&io), dir.clone(), false).expect("reopen");
         let (t3, o3) = store2.get(&spec, 2_000_000).expect("disk hit");
         assert_eq!(o3, TraceOrigin::Disk);
-        assert_eq!(t3.len(), t1.len());
+        assert_eq!(*t3, *t1);
         assert_eq!(store2.stats().builds, 0, "no re-emulation");
 
         // Tear the entry: the store rebuilds over it instead of failing.
@@ -298,42 +375,158 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_corrupt_entry_is_a_miss_and_rebuilds_byte_identically() {
-        let dir = store_dir("corrupt");
-        let spec = JobSpec::new(Workload::Gzip, ExecMode::Sie);
+    /// Writes `bytes` as the spec's entry and asks a fresh store (a
+    /// new process) for the trace: it must rebuild, restore the entry
+    /// byte for byte and serve the built trace.
+    fn assert_rebuilds(dir: &Path, spec: &JobSpec, bytes: &[u8], full: &[u8], built: &Trace) {
         let io: Arc<dyn Io> = Arc::new(RealIo);
-        let store = TraceStore::open(Arc::clone(&io), dir.clone(), false).expect("open");
-        let (built, _) = store.get(&spec, 2_000_000).expect("build");
-        assert_eq!(store.resident_bytes(), built.len() as u64 * 48);
-        let path = store.path_for(TraceStore::trace_key(&spec, 2_000_000));
-        let full = std::fs::read(&path).expect("entry exists");
-        // Offsets: version at 4, record count at 6, record i at 14 + 48i
-        // (its instruction word first, its flag word at +12).
-        let load = built
-            .iter()
-            .position(|d| d.inst.op.is_load())
-            .expect("a load");
-        let load_flags = 14 + 48 * load + 12;
-        let corruptions: [(usize, &[u8]); 7] = [
-            (4, &1u16.to_le_bytes()),
-            (6, &u64::MAX.to_le_bytes()),
-            (6, &(1u64 << 40).to_le_bytes()),
-            (26, &(1u32 << 4).to_le_bytes()),
-            (26, &0b110u32.to_le_bytes()),
-            (14, &[0xff]),
-            // A load that keeps its result but loses its effective address.
-            (load_flags, &1u32.to_le_bytes()),
-        ];
-        for (at, bytes) in corruptions {
-            let mut bad = full.clone();
-            bad[at..at + bytes.len()].copy_from_slice(bytes);
-            std::fs::write(&path, &bad).expect("corrupt");
-            let fresh = TraceStore::open(Arc::clone(&io), dir.clone(), false).expect("reopen");
-            let (rebuilt, origin) = fresh.get(&spec, 2_000_000).expect("rebuild");
-            assert_eq!(origin, TraceOrigin::Built, "corruption at {at}");
-            assert_eq!(*rebuilt, *built);
-            assert_eq!(std::fs::read(&path).expect("entry repaired"), full);
+        let store = TraceStore::open(io, dir.to_path_buf(), false).expect("open");
+        let path = store.path_for(TraceStore::trace_key(spec, BUDGET));
+        std::fs::write(&path, bytes).expect("write entry");
+        let (rebuilt, origin) = store.get(spec, BUDGET).expect("rebuild");
+        assert_eq!(origin, TraceOrigin::Built);
+        assert_eq!(*rebuilt, *built);
+        assert_eq!(std::fs::read(&path).expect("entry repaired"), full);
+    }
+
+    const BUDGET: u64 = 2_000_000;
+
+    /// A built entry of the spec, with the trace it holds.
+    fn built_entry(dir: &Path, spec: &JobSpec) -> (Vec<u8>, Arc<Trace>) {
+        let io: Arc<dyn Io> = Arc::new(RealIo);
+        let store = TraceStore::open(io, dir.to_path_buf(), false).expect("open");
+        let (built, _) = store.get(spec, BUDGET).expect("build");
+        let path = store.path_for(TraceStore::trace_key(spec, BUDGET));
+        (std::fs::read(path).expect("entry exists"), built)
+    }
+
+    fn with_checksum(mut body: Vec<u8>) -> Vec<u8> {
+        body.truncate(body.len() - CHECKSUM_BYTES);
+        let sum = fx64(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn an_entry_holds_the_program_budget_and_count() {
+        let dir = store_dir("entry");
+        let spec = JobSpec::new(Workload::Gzip, ExecMode::Sie);
+        let (full, built) = built_entry(&dir, &spec);
+        assert_eq!(decode_entry(&full, BUDGET).as_ref(), Some(&*built));
+        assert_eq!(
+            full.len(),
+            ENTRY_HEADER_BYTES + container::to_bytes(built.program()).len() + CHECKSUM_BYTES
+        );
+        assert_eq!(
+            decode_entry(&full, BUDGET + 1),
+            None,
+            "an entry for another budget"
+        );
+    }
+
+    #[test]
+    fn an_entry_cut_at_any_byte_is_a_miss_and_rebuilds() {
+        let dir = store_dir("cut");
+        let spec = JobSpec::new(Workload::Gzip, ExecMode::Sie);
+        let (full, built) = built_entry(&dir, &spec);
+        // Every cut fails the decoder the store reads entries with; a
+        // sample of them goes through the store itself.
+        for cut in 0..full.len() {
+            assert_eq!(decode_entry(&full[..cut], BUDGET), None, "cut at {cut}");
         }
+        let header = ENTRY_HEADER_BYTES;
+        for cut in [0, 3, 8, header - 1, header, header + 1, full.len() / 2] {
+            assert_rebuilds(&dir, &spec, &full[..cut], &full, &built);
+        }
+        for cut in full.len() - CHECKSUM_BYTES..full.len() {
+            assert_rebuilds(&dir, &spec, &full[..cut], &full, &built);
+        }
+    }
+
+    #[test]
+    fn an_entry_with_a_flipped_bit_is_a_miss_and_rebuilds() {
+        let dir = store_dir("flip");
+        let spec = JobSpec::new(Workload::Gzip, ExecMode::Sie);
+        let (full, built) = built_entry(&dir, &spec);
+        let flipped = |at: usize| {
+            let mut bad = full.clone();
+            bad[at] ^= 1 << (at % 8);
+            bad
+        };
+        for at in 0..full.len() {
+            assert_eq!(
+                decode_entry(&flipped(at), BUDGET),
+                None,
+                "bit flipped at {at}"
+            );
+        }
+        for at in [
+            0,
+            4,
+            8,
+            16,
+            ENTRY_HEADER_BYTES,
+            full.len() / 2,
+            full.len() - 1,
+        ] {
+            assert_rebuilds(&dir, &spec, &flipped(at), &full, &built);
+        }
+    }
+
+    #[test]
+    fn an_entry_of_a_foreign_version_is_a_miss_and_rebuilds() {
+        let dir = store_dir("version");
+        let spec = JobSpec::new(Workload::Gzip, ExecMode::Sie);
+        let (full, built) = built_entry(&dir, &spec);
+        for version in [0, 1, TRACE_STORE_VERSION + 1, u32::MAX] {
+            let mut bad = full.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            let bad = with_checksum(bad);
+            assert_eq!(decode_entry(&bad, BUDGET), None, "version {version}");
+            assert_rebuilds(&dir, &spec, &bad, &full, &built);
+        }
+        // Packed `.rtrc` v2 bytes, as the previous store wrote them.
+        let mut rtrc = Vec::new();
+        redsim_isa::trace_io::write_trace(&mut rtrc, &[]).expect("writes");
+        assert_rebuilds(&dir, &spec, &rtrc, &full, &built);
+    }
+
+    #[test]
+    fn an_entry_whose_count_disagrees_with_its_checksum_is_a_miss_and_rebuilds() {
+        let dir = store_dir("count");
+        let spec = JobSpec::new(Workload::Gzip, ExecMode::Sie);
+        let (full, built) = built_entry(&dir, &spec);
+        let n = built.len() as u64;
+        for count in [0, n - 1, n + 1, BUDGET, u64::MAX] {
+            let mut bad = full.clone();
+            bad[16..24].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(decode_entry(&bad, BUDGET), None, "count {count}");
+            assert_rebuilds(&dir, &spec, &bad, &full, &built);
+        }
+        // Re-checksummed, a count past the budget is still refused.
+        let mut past = full.clone();
+        past[16..24].copy_from_slice(&(BUDGET + 1).to_le_bytes());
+        assert_eq!(decode_entry(&with_checksum(past), BUDGET), None);
+    }
+
+    #[test]
+    fn the_key_is_derived_once_per_input_and_matches_trace_key() {
+        let store = TraceStore::open(Arc::new(RealIo), store_dir("keys"), false).expect("open");
+        let mut specs = Vec::new();
+        for w in [Workload::Gzip, Workload::Mcf] {
+            for seed in [None, Some(7)] {
+                let mut spec = JobSpec::new(w, ExecMode::Die);
+                spec.input_seed = seed;
+                specs.push(spec);
+            }
+        }
+        for _ in 0..2 {
+            for spec in &specs {
+                for budget in [1000, 2000] {
+                    assert_eq!(store.key(spec, budget), TraceStore::trace_key(spec, budget));
+                }
+            }
+        }
+        assert_eq!(store.lock().keys.len(), specs.len() * 2);
     }
 }

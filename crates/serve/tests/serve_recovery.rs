@@ -150,13 +150,13 @@ fn repeat_submissions_never_reassemble_or_reemulate() {
     assert!(!cached);
     engine.drain().expect("drain");
     assert_eq!(engine.store_stats().builds, 1, "first job builds the trace");
-    // The memory tier's gauge reports the packed trace's real footprint:
-    // 48 bytes per instruction.
-    let insts = Workload::Gzip
+    // The memory tier's gauge reports the trace recipe's real footprint:
+    // its program's bytes.
+    let program_bytes = Workload::Gzip
         .trace(sie.params(), options(1).trace_budget)
         .expect("trace")
-        .len();
-    let resident = format!("\nserve_trace_cache_resident_bytes {}\n", insts * 48);
+        .heap_bytes();
+    let resident = format!("\nserve_trace_cache_resident_bytes {program_bytes}\n");
     let prom = engine.metrics_registry().to_prometheus();
     assert!(prom.contains(&resident), "{prom}");
 

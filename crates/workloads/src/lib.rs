@@ -223,7 +223,8 @@ impl Workload {
 
     /// Materializes the kernel's committed-path trace: assembles the
     /// generated source and runs the functional emulator to `halt`
-    /// within `budget` instructions, recording a packed [`Trace`].
+    /// within `budget` instructions once, counting what it commits. The
+    /// [`Trace`] keeps the program and that count; a replay re-runs it.
     ///
     /// # Errors
     ///
@@ -235,8 +236,7 @@ impl Workload {
             workload: self.name(),
             message: e.to_string(),
         })?;
-        let mut emu = redsim_isa::emu::Emulator::new(&program);
-        emu.record_trace(budget).map_err(|e| WorkloadError::Run {
+        Trace::record(program, budget).map_err(|e| WorkloadError::Run {
             workload: self.name(),
             message: e.to_string(),
         })

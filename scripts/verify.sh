@@ -160,6 +160,34 @@ EOF
     fi
 }
 
+trace_file_smoke() {
+    # The .rtrc interchange path end-to-end: redsim-emu --trace-out
+    # writes a tiny kernel's committed trace, redsim-sim --trace replays
+    # the file, and its stats must match redsim-sim run on the program
+    # directly, in every mode. No in-process cache uses this format, so
+    # this is what keeps it exercised.
+    echo "==> redsim-emu --trace-out -> redsim-sim --trace smoke"
+    local dir=target/trace-file-smoke
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    target/release/redsim-workload emit gzip --scale 1 >"$dir/gzip.s"
+    target/release/redsim-emu "$dir/gzip.s" --trace-out "$dir/gzip.rtrc" >/dev/null
+    local mode direct replay
+    for mode in sie die die-irb sie-irb die-cluster; do
+        direct=$(target/release/redsim-sim "$dir/gzip.s" --mode "$mode")
+        replay=$(target/release/redsim-sim --trace "$dir/gzip.rtrc" --mode "$mode")
+        case "$direct" in
+            *'IPC:'*) ;;
+            *) echo "FAIL: redsim-sim printed no stats in $mode: $direct" >&2; exit 1 ;;
+        esac
+        if [ "$direct" != "$replay" ]; then
+            echo "FAIL: --trace replay differs from the direct run in $mode" >&2
+            diff <(echo "$direct") <(echo "$replay") >&2 || true
+            exit 1
+        fi
+    done
+}
+
 campaign_smoke() {
     # The resumable fault-injection campaign end-to-end: a full tiny
     # run, then the same campaign interrupted partway (exit code 3) and
@@ -561,6 +589,12 @@ if [ "${1:-}" = "trace-smoke" ]; then
     exit 0
 fi
 
+if [ "${1:-}" = "trace-file-smoke" ]; then
+    trace_file_smoke
+    echo "OK: trace-file smoke passed"
+    exit 0
+fi
+
 if [ "${1:-}" = "metrics-smoke" ]; then
     metrics_smoke
     echo "OK: metrics smoke passed"
@@ -574,6 +608,7 @@ run cargo build --offline --release --workspace
 run cargo test --offline --workspace -q
 figure_smoke
 trace_smoke
+trace_file_smoke
 metrics_smoke
 campaign_smoke
 chaos_smoke

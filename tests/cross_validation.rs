@@ -97,7 +97,7 @@ fn identical_trace_identical_stats_across_sources() {
     let direct = Simulator::new(cfg.clone(), ExecMode::DieIrb)
         .run_program(&program)
         .unwrap();
-    let trace = Emulator::new(&program).record_trace(200_000_000).unwrap();
+    let trace = redsim::isa::trace::Trace::record(program, 200_000_000).unwrap();
     let mut src = TraceSource::new(&trace);
     let replay = Simulator::new(cfg, ExecMode::DieIrb)
         .run_source(&mut src)
