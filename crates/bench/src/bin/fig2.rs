@@ -1,84 +1,7 @@
-//! Figure 2: percentage IPC loss with respect to SIE for the base DIE
-//! and the seven resource-doubled DIE configurations, across the twelve
-//! workloads plus the mean.
-//!
-//! Expected shape (paper §2.2): the base DIE loses 1–43% (~22% mean);
-//! `2xALU` is the single most effective doubling; doubling all three
-//! resources (`2xALU-2xRUU-2xWidths`) brings DIE back to roughly SIE.
-
-use redsim_bench::{emit, ipc, mean, pct, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_workloads::Workload;
+//! Figure 2: % IPC loss vs SIE for the base DIE and the seven
+//! resource-doubled DIE configurations. Declared in
+//! `redsim_bench::figures::fig2`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-    let configs: Vec<(&str, MachineConfig)> = vec![
-        ("DIE", base.clone()),
-        ("DIE-2xALU", base.clone().with_double_alus()),
-        ("DIE-2xRUU", base.clone().with_double_ruu()),
-        ("DIE-2xWidths", base.clone().with_double_widths()),
-        (
-            "DIE-2xALU-2xRUU",
-            base.clone().with_double_alus().with_double_ruu(),
-        ),
-        (
-            "DIE-2xALU-2xWidths",
-            base.clone().with_double_alus().with_double_widths(),
-        ),
-        (
-            "DIE-2xRUU-2xWidths",
-            base.clone().with_double_ruu().with_double_widths(),
-        ),
-        (
-            "DIE-2xALU-2xRUU-2xWidths",
-            base.clone()
-                .with_double_alus()
-                .with_double_ruu()
-                .with_double_widths(),
-        ),
-    ];
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        jobs.push(Job::new(w, ExecMode::Sie, &base));
-        for (_, cfg) in &configs {
-            jobs.push(Job::new(w, ExecMode::Die, cfg));
-        }
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut header: Vec<String> = vec!["app".into(), "SIE-IPC".into()];
-    header.extend(configs.iter().map(|(n, _)| format!("{n} loss")));
-    let mut table = Table::new(header);
-
-    let per_app = 1 + configs.len();
-    let mut losses: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(per_app)) {
-        let sie = &runs[0];
-        let mut cells = vec![w.name().to_owned(), ipc(sie.ipc())];
-        for (i, die) in runs[1..].iter().enumerate() {
-            let loss = die.ipc_loss_vs(sie);
-            losses[i].push(loss);
-            cells.push(pct(loss));
-        }
-        table.row(cells);
-    }
-    let mut cells = vec!["mean".to_owned(), String::new()];
-    cells.extend(losses.iter().map(|l| pct(mean(l))));
-    table.row(cells);
-
-    emit(
-        &cli,
-        "Figure 2: % IPC loss with respect to SIE",
-        "",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig2);
 }

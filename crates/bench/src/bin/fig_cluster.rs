@@ -1,65 +1,6 @@
-//! The clustered alternative (§3): give the duplicate stream its own
-//! replicated functional-unit cluster instead of an IRB. The paper
-//! rejects this as "bordering on spatial redundancy" — those replicated
-//! units could have sped up SIE instead. This table quantifies the
-//! argument: DIE-Cluster is compared both against DIE-IRB (which spends
-//! almost no hardware) and against SIE-2xALU (what the same transistors
-//! buy without redundancy).
-
-use redsim_bench::{emit, ipc, mean, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_workloads::Workload;
+//! The clustered alternative of §3 vs DIE-IRB vs SIE-2xALU. Declared in
+//! `redsim_bench::figures::fig_cluster`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-    let twoalu = base.clone().with_double_alus();
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        jobs.push(Job::new(w, ExecMode::Sie, &base));
-        jobs.push(Job::new(w, ExecMode::Die, &base));
-        jobs.push(Job::new(w, ExecMode::DieIrb, &base));
-        jobs.push(Job::new(w, ExecMode::DieCluster, &base));
-        jobs.push(Job::new(w, ExecMode::Sie, &twoalu));
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut table = Table::new(vec![
-        "app",
-        "SIE",
-        "DIE",
-        "DIE-IRB",
-        "DIE-Cluster",
-        "SIE-2xALU",
-    ]);
-    let mut cols: [Vec<f64>; 5] = Default::default();
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(5)) {
-        let mut cells = vec![w.name().to_owned()];
-        for (c, s) in cols.iter_mut().zip(runs) {
-            c.push(s.ipc());
-            cells.push(ipc(s.ipc()));
-        }
-        table.row(cells);
-    }
-    let mut cells = vec!["mean".to_owned()];
-    cells.extend(cols.iter().map(|c| ipc(mean(c))));
-    table.row(cells);
-
-    emit(
-        &cli,
-        "Clustered DIE vs DIE-IRB vs what the transistors buy in SIE (§3)",
-        &format!(
-            "cluster: replicated 4/2/2/1 FUs + {}-cycle inter-cluster data delay",
-            base.cluster_delay
-        ),
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_cluster);
 }

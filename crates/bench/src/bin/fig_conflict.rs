@@ -1,81 +1,7 @@
-//! Reconstructed Fig. E: the conflict-miss-reduction mechanism. The
-//! comparison runs at a *small* IRB capacity (64 entries), where the
-//! kernels' static footprints actually conflict — at the paper's 1024
-//! entries our kernels fit outright and every organization ties, which
-//! is itself the paper's point that 1024 entries suffice. Direct-mapped
-//! vs a 16-entry victim buffer vs 2-way and 4-way of the same capacity.
-
-use redsim_bench::{emit, ipc, mean, pct, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_irb::IrbConfig;
-use redsim_workloads::Workload;
+//! Reconstructed Fig. E: IRB conflict-miss reduction (victim buffer,
+//! associativity). Declared in
+//! `redsim_bench::figures::fig_conflict`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-    let small = IrbConfig {
-        entries: 64,
-        ..IrbConfig::paper_baseline()
-    };
-    let orgs: Vec<(&str, IrbConfig)> = vec![
-        ("DM", small),
-        (
-            "DM+victim16",
-            IrbConfig {
-                victim_entries: 16,
-                ..small
-            },
-        ),
-        ("2-way", IrbConfig { assoc: 2, ..small }),
-        ("4-way", IrbConfig { assoc: 4, ..small }),
-        ("DM-1024 (paper)", IrbConfig::paper_baseline()),
-    ];
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        for (_, irb) in &orgs {
-            let mut cfg = base.clone();
-            cfg.irb = *irb;
-            jobs.push(Job::new(w, ExecMode::DieIrb, &cfg));
-        }
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut header: Vec<String> = vec!["app".into()];
-    for (n, _) in &orgs {
-        header.push(format!("{n} IPC"));
-        header.push(format!("{n} pass"));
-    }
-    let mut table = Table::new(header);
-
-    let mut per_org: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(orgs.len())) {
-        let mut cells = vec![w.name().to_owned()];
-        for (i, s) in runs.iter().enumerate() {
-            per_org[i].push(s.ipc());
-            cells.push(ipc(s.ipc()));
-            cells.push(pct(s.irb.reuse_pass_rate() * 100.0));
-        }
-        table.row(cells);
-    }
-    let mut cells = vec!["mean".to_owned()];
-    for v in &per_org {
-        cells.push(ipc(mean(v)));
-        cells.push(String::new());
-    }
-    table.row(cells);
-
-    emit(
-        &cli,
-        "IRB conflict-miss reduction (reconstructed Fig. E)",
-        "64 entries per organization + the 1024-entry reference",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_conflict);
 }

@@ -18,7 +18,7 @@
 //! `--seeds N` replicates every scenario across `N` independent fault
 //! seeds and reports mean±stddev per column.
 
-use redsim_bench::{emit, pm, Cli, Harness, Job, Table};
+use redsim_bench::{finish, pm, Cli, Harness, Job, Table};
 use redsim_core::{ExecMode, FaultConfig, MachineConfig, SimStats};
 use redsim_workloads::Workload;
 
@@ -180,16 +180,13 @@ fn main() {
         }
     }
 
-    emit(
+    finish(
         &cli,
         "Transient-fault detection coverage (reconstructed Fig. F, §3.4)",
         &format!("{seeds} fault seed(s) per scenario"),
         &table,
-        h.stall_summary(),
+        None,
+        &h,
         &errors,
-        h.perf(),
     );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
 }

@@ -1,71 +1,6 @@
-//! Fidelity ablation: how much do the optional model refinements —
-//! wrong-path I-cache pollution and store-to-load forwarding — move the
-//! results the paper cares about? Both effects apply to SIE and DIE
-//! alike, so the *relative* DIE loss should be nearly invariant.
-
-use redsim_bench::{emit, ipc, mean, pct, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_workloads::Workload;
+//! Fidelity ablation: wrong-path fetch + store-to-load forwarding. Declared in
+//! `redsim_bench::figures::fig_fidelity`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-    let mut full = base.clone();
-    full.wrong_path_fetch = true;
-    full.stl_forwarding = true;
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        jobs.push(Job::new(w, ExecMode::Sie, &base));
-        jobs.push(Job::new(w, ExecMode::Die, &base));
-        jobs.push(Job::new(w, ExecMode::Sie, &full));
-        jobs.push(Job::new(w, ExecMode::Die, &full));
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut table = Table::new(vec![
-        "app",
-        "SIE base",
-        "SIE full-fidelity",
-        "DIE loss base",
-        "DIE loss full-fidelity",
-    ]);
-    let (mut base_loss, mut full_loss) = (Vec::new(), Vec::new());
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(4)) {
-        let [sie_b, die_b, sie_f, die_f] = runs else {
-            unreachable!("chunks_exact(4)")
-        };
-        let lb = die_b.ipc_loss_vs(sie_b);
-        let lf = die_f.ipc_loss_vs(sie_f);
-        base_loss.push(lb);
-        full_loss.push(lf);
-        table.row(vec![
-            w.name().to_owned(),
-            ipc(sie_b.ipc()),
-            ipc(sie_f.ipc()),
-            pct(lb),
-            pct(lf),
-        ]);
-    }
-    table.row(vec![
-        "mean".to_owned(),
-        String::new(),
-        String::new(),
-        pct(mean(&base_loss)),
-        pct(mean(&full_loss)),
-    ]);
-
-    emit(
-        &cli,
-        "Fidelity ablation: wrong-path i-fetch + store-to-load forwarding",
-        "",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_fidelity);
 }

@@ -1,69 +1,7 @@
-//! Reconstructed Fig. B: IRB behaviour per workload under DIE-IRB —
-//! PC-hit rate, reuse-test pass rate, the fraction of duplicate-stream
-//! work that bypassed the functional units, and port starvation.
-
-use redsim_bench::{emit, mean, pct, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_workloads::Workload;
+//! Reconstructed Fig. B: IRB hit, reuse-pass and bypass rates per
+//! workload under DIE-IRB. Declared in
+//! `redsim_bench::figures::fig_hitrate`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-
-    let jobs: Vec<Job> = Workload::ALL
-        .iter()
-        .map(|&w| Job::new(w, ExecMode::DieIrb, &base))
-        .collect();
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut table = Table::new(vec![
-        "app",
-        "pc-hit",
-        "reuse-pass",
-        "dup-bypassed",
-        "lookups-starved",
-        "inserts-starved",
-        "conflict-evictions",
-    ]);
-    let (mut hits, mut passes, mut bypasses) = (Vec::new(), Vec::new(), Vec::new());
-    for (w, s) in Workload::ALL.iter().zip(&results) {
-        let hit = s.irb.buffer.hit_rate() * 100.0;
-        let pass = s.irb.reuse_pass_rate() * 100.0;
-        let bypass = s.bypass_fraction() * 100.0;
-        hits.push(hit);
-        passes.push(pass);
-        bypasses.push(bypass);
-        table.row(vec![
-            w.name().to_owned(),
-            pct(hit),
-            pct(pass),
-            pct(bypass),
-            s.irb.lookups_port_starved.to_string(),
-            s.irb.inserts_port_starved.to_string(),
-            s.irb.buffer.conflict_evictions.to_string(),
-        ]);
-    }
-    table.row(vec![
-        "mean".to_owned(),
-        pct(mean(&hits)),
-        pct(mean(&passes)),
-        pct(mean(&bypasses)),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
-
-    emit(
-        &cli,
-        "IRB hit and reuse rates under DIE-IRB (reconstructed Fig. B)",
-        "1024-entry direct-mapped, 4R/2W/2RW",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_hitrate);
 }

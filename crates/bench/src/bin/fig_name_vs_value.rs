@@ -1,64 +1,6 @@
-//! Ablation G (§3.3): value-based vs name-based reuse tests. Name-based
-//! reuse invalidates an entry whenever one of its source registers is
-//! overwritten, avoiding operand comparators — at the cost of hit rate.
-
-use redsim_bench::{emit, ipc, mean, pct, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_irb::ReusePolicy;
-use redsim_workloads::Workload;
+//! Ablation G (§3.3): value-based vs name-based reuse tests. Declared in
+//! `redsim_bench::figures::fig_name_vs_value`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let value_cfg = MachineConfig::paper_baseline();
-    let mut name_cfg = value_cfg.clone();
-    name_cfg.irb.policy = ReusePolicy::Name;
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        jobs.push(Job::new(w, ExecMode::DieIrb, &value_cfg));
-        jobs.push(Job::new(w, ExecMode::DieIrb, &name_cfg));
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut table = Table::new(vec![
-        "app",
-        "value IPC",
-        "value pass",
-        "name IPC",
-        "name pass",
-    ]);
-    let (mut v_ipc, mut n_ipc) = (Vec::new(), Vec::new());
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(2)) {
-        let (v, n) = (&runs[0], &runs[1]);
-        v_ipc.push(v.ipc());
-        n_ipc.push(n.ipc());
-        table.row(vec![
-            w.name().to_owned(),
-            ipc(v.ipc()),
-            pct(v.irb.reuse_pass_rate() * 100.0),
-            ipc(n.ipc()),
-            pct(n.irb.reuse_pass_rate() * 100.0),
-        ]);
-    }
-    table.row(vec![
-        "mean".to_owned(),
-        ipc(mean(&v_ipc)),
-        String::new(),
-        ipc(mean(&n_ipc)),
-        String::new(),
-    ]);
-
-    emit(
-        &cli,
-        "Value-based vs name-based reuse (Ablation G, §3.3)",
-        "",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_name_vs_value);
 }

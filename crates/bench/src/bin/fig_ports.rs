@@ -1,91 +1,6 @@
-//! Reconstructed Fig. D: DIE-IRB sensitivity to IRB port provisioning.
-//! The paper argues (§3.2) that modest ports suffice because only the
-//! duplicate stream reads the IRB and the effective dispatch rate of a
-//! DIE core is half that of SIE.
-
-use redsim_bench::{emit, ipc, mean, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_irb::PortConfig;
-use redsim_workloads::Workload;
+//! Reconstructed Fig. D: DIE-IRB IPC vs IRB port provisioning. Declared in
+//! `redsim_bench::figures::fig_ports`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-    let ports: Vec<(&str, PortConfig)> = vec![
-        (
-            "1R/1W",
-            PortConfig {
-                read: 1,
-                write: 1,
-                read_write: 0,
-            },
-        ),
-        (
-            "2R/1W",
-            PortConfig {
-                read: 2,
-                write: 1,
-                read_write: 0,
-            },
-        ),
-        (
-            "2R/2W",
-            PortConfig {
-                read: 2,
-                write: 2,
-                read_write: 0,
-            },
-        ),
-        ("4R/2W/2RW", PortConfig::paper_baseline()),
-        (
-            "8R/4W",
-            PortConfig {
-                read: 8,
-                write: 4,
-                read_write: 0,
-            },
-        ),
-        ("unlimited", PortConfig::unlimited()),
-    ];
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        for (_, pc) in &ports {
-            let mut cfg = base.clone();
-            cfg.irb.ports = *pc;
-            jobs.push(Job::new(w, ExecMode::DieIrb, &cfg));
-        }
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut header: Vec<String> = vec!["app".into()];
-    header.extend(ports.iter().map(|(n, _)| (*n).to_owned()));
-    let mut table = Table::new(header);
-
-    let mut per_port: Vec<Vec<f64>> = vec![Vec::new(); ports.len()];
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(ports.len())) {
-        let mut cells = vec![w.name().to_owned()];
-        for (i, s) in runs.iter().enumerate() {
-            per_port[i].push(s.ipc());
-            cells.push(ipc(s.ipc()));
-        }
-        table.row(cells);
-    }
-    let mut cells = vec!["mean".to_owned()];
-    cells.extend(per_port.iter().map(|v| ipc(mean(v))));
-    table.row(cells);
-
-    emit(
-        &cli,
-        "DIE-IRB IPC vs IRB port provisioning (reconstructed Fig. D)",
-        "",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_ports);
 }

@@ -1,54 +1,7 @@
-//! Scheduling-vs-reuse ablation: how much of DIE-IRB's gain comes from
-//! giving the primary stream issue priority (a scheduling policy that
-//! needs no IRB at all) versus from the reuse bypass itself.
-//!
-//! Configurations: plain DIE (symmetric oldest-first), DIE with
-//! primary-first selection but no IRB, and full DIE-IRB.
-
-use redsim_bench::{emit, ipc, mean, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, IssuePolicy, MachineConfig};
-use redsim_workloads::Workload;
+//! Scheduling-vs-reuse ablation: primary-first issue without an IRB
+//! against DIE and DIE-IRB. Declared in
+//! `redsim_bench::figures::fig_priority`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-    let mut priority = base.clone();
-    priority.issue_policy = IssuePolicy::PrimaryFirst;
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        jobs.push(Job::new(w, ExecMode::Sie, &base));
-        jobs.push(Job::new(w, ExecMode::Die, &base));
-        jobs.push(Job::new(w, ExecMode::Die, &priority));
-        jobs.push(Job::new(w, ExecMode::DieIrb, &base));
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut table = Table::new(vec!["app", "SIE", "DIE", "DIE+priority", "DIE-IRB"]);
-    let mut cols: [Vec<f64>; 4] = Default::default();
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(4)) {
-        let mut cells = vec![w.name().to_owned()];
-        for (c, s) in cols.iter_mut().zip(runs) {
-            c.push(s.ipc());
-            cells.push(ipc(s.ipc()));
-        }
-        table.row(cells);
-    }
-    let mut cells = vec!["mean".to_owned()];
-    cells.extend(cols.iter().map(|c| ipc(mean(c))));
-    table.row(cells);
-
-    emit(
-        &cli,
-        "Scheduling vs reuse: where DIE-IRB's gain comes from",
-        "",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_priority);
 }

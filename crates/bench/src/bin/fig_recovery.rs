@@ -12,7 +12,7 @@
 //! seeds (distinct generated inputs, hence distinct traces) and reports
 //! mean±stddev per cell.
 
-use redsim_bench::{emit, mean, pct, pm, Cli, Harness, Job, Table};
+use redsim_bench::{finish, mean, pct, pm, Cli, Harness, Job, Table};
 use redsim_core::{ExecMode, ForwardingPolicy, MachineConfig};
 use redsim_workloads::Workload;
 
@@ -111,7 +111,7 @@ fn main() {
         pct(mean(&all_rec)),
     ]);
 
-    emit(
+    finish(
         &cli,
         "Headline recovery (reconstructed Fig. A): SIE vs DIE vs DIE-IRB vs DIE-2xALU",
         &format!(
@@ -123,11 +123,8 @@ fn main() {
             }
         ),
         &table,
-        h.stall_summary(),
+        None,
+        &h,
         &errors,
-        h.perf(),
     );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
 }

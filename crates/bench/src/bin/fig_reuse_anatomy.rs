@@ -9,7 +9,7 @@
 //! to (the conservation contract `attribution-smoke` checks), and the
 //! per-loop breakdown.
 
-use redsim_bench::{emit, pct, Cli, Harness, Job, Table};
+use redsim_bench::{finish, pct, Cli, Harness, Job, Table};
 use redsim_core::{
     attribution_to_json, AttrCounters, ExecMode, MachineConfig, SchedEngine, SimStats,
     REUSE_CLASSES, REUSE_CLASS_NAMES,
@@ -104,43 +104,15 @@ fn main() {
         }
     }
 
-    if cli.json {
-        let out = Json::obj()
-            .field(
-                "title",
-                "Reuse anatomy: opcode class x loop structure (all modes, both engines)",
-            )
-            .field("note", "attribution enabled; conservation vs IrbSummary")
-            .field("quick", cli.quick)
-            .field("table", table.to_json())
-            .field("anatomy", anatomy.into_iter().collect::<Json>())
-            .field("stalls", h.stall_summary().to_json())
-            .field(
-                "errors",
-                errors
-                    .iter()
-                    .map(redsim_bench::JobError::to_json)
-                    .collect::<Json>(),
-            )
-            .field("perf", h.perf().to_json());
-        println!("{out}");
-        for e in &errors {
-            eprintln!("error: job {} ({}): {}", e.index, e.label, e.message);
-        }
-    } else {
-        emit(
-            &cli,
-            "Reuse anatomy: opcode class x loop structure (all modes, both engines)",
-            "attribution enabled; conservation vs IrbSummary",
-            &table,
-            h.stall_summary(),
-            &errors,
-            h.perf(),
-        );
-    }
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    finish(
+        &cli,
+        "Reuse anatomy: opcode class x loop structure (all modes, both engines)",
+        "attribution enabled; conservation vs IrbSummary",
+        &table,
+        Some(("anatomy", anatomy.into_iter().collect())),
+        &h,
+        &errors,
+    );
 }
 
 /// One job's anatomy record: the full attribution section plus the

@@ -1,73 +1,6 @@
-//! §3.3's scheduler discussion, measured: the data-capture issue window
-//! (reuse test in parallel with operand capture), the pipelined
-//! non-data-capture adaptation (reuse test one cycle after wakeup,
-//! following the register-file read), and the naive non-data-capture
-//! design where a passing reuse test wastes the already-allocated
-//! functional unit — forfeiting the bandwidth benefit entirely.
-
-use redsim_bench::{emit, ipc, mean, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig, SchedulerModel};
-use redsim_workloads::Workload;
+//! §3.3's data-capture vs non-data-capture reuse tests. Declared in
+//! `redsim_bench::figures::fig_scheduler`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-    let models = [
-        ("data-capture", SchedulerModel::DataCapture),
-        ("ndc-pipelined", SchedulerModel::NonDataCapturePipelined),
-        ("ndc-naive", SchedulerModel::NonDataCaptureNaive),
-    ];
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        jobs.push(Job::new(w, ExecMode::Die, &base));
-        for (_, m) in &models {
-            let mut cfg = base.clone();
-            cfg.scheduler = *m;
-            jobs.push(Job::new(w, ExecMode::DieIrb, &cfg));
-        }
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut header: Vec<String> = vec!["app".into(), "DIE".into()];
-    for (n, _) in &models {
-        header.push(format!("{n} IPC"));
-        header.push(format!("{n} bypass"));
-    }
-    let mut table = Table::new(header);
-
-    let per_app = 1 + models.len();
-    let mut per_model: Vec<Vec<f64>> = vec![Vec::new(); models.len()];
-    let mut die_col = Vec::new();
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(per_app)) {
-        let die = &runs[0];
-        die_col.push(die.ipc());
-        let mut cells = vec![w.name().to_owned(), ipc(die.ipc())];
-        for (i, s) in runs[1..].iter().enumerate() {
-            per_model[i].push(s.ipc());
-            cells.push(ipc(s.ipc()));
-            cells.push(s.fu_bypasses.to_string());
-        }
-        table.row(cells);
-    }
-    let mut cells = vec!["mean".to_owned(), ipc(mean(&die_col))];
-    for v in &per_model {
-        cells.push(ipc(mean(v)));
-        cells.push(String::new());
-    }
-    table.row(cells);
-
-    emit(
-        &cli,
-        "DIE-IRB under the three scheduler models of §3.3",
-        "",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_scheduler);
 }

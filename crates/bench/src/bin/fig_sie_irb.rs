@@ -1,67 +1,6 @@
-//! Ablation H: the same IRB attached to SIE vs to DIE. Reproduces the
-//! observation (Sodani & Sohi via Citron et al., recounted in §1) that
-//! bandwidth amplification barely helps a balanced single-stream core,
-//! while it strongly helps the overloaded DIE core — the paper's reason
-//! for revisiting instruction reuse.
-
-use redsim_bench::{emit, mean, pct, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_workloads::Workload;
+//! Ablation H: the same IRB on SIE vs on DIE. Declared in
+//! `redsim_bench::figures::fig_sie_irb`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-
-    let mut longlat = base.clone();
-    longlat.reuse_long_latency_only = true;
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        jobs.push(Job::new(w, ExecMode::Sie, &base));
-        jobs.push(Job::new(w, ExecMode::SieIrb, &base));
-        jobs.push(Job::new(w, ExecMode::SieIrb, &longlat));
-        jobs.push(Job::new(w, ExecMode::Die, &base));
-        jobs.push(Job::new(w, ExecMode::DieIrb, &base));
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut table = Table::new(vec![
-        "app",
-        "SIE-IRB speedup over SIE",
-        "SIE-IRB (long-latency ops only)",
-        "DIE-IRB speedup over DIE",
-    ]);
-    let (mut sie_gain, mut sie_ll_gain, mut die_gain) = (Vec::new(), Vec::new(), Vec::new());
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(5)) {
-        let [sie, sie_irb, sie_irb_ll, die, die_irb] = runs else {
-            unreachable!("chunks_exact(5)")
-        };
-        let s = (sie_irb.ipc() / sie.ipc() - 1.0) * 100.0;
-        let sl = (sie_irb_ll.ipc() / sie.ipc() - 1.0) * 100.0;
-        let d = (die_irb.ipc() / die.ipc() - 1.0) * 100.0;
-        sie_gain.push(s);
-        sie_ll_gain.push(sl);
-        die_gain.push(d);
-        table.row(vec![w.name().to_owned(), pct(s), pct(sl), pct(d)]);
-    }
-    table.row(vec![
-        "mean".to_owned(),
-        pct(mean(&sie_gain)),
-        pct(mean(&sie_ll_gain)),
-        pct(mean(&die_gain)),
-    ]);
-
-    emit(
-        &cli,
-        "IRB on SIE vs IRB on DIE (Ablation H)",
-        "",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_sie_irb);
 }

@@ -1,61 +1,6 @@
-//! Reconstructed Fig. C: DIE-IRB IPC sensitivity to IRB capacity
-//! (64–4096 entries, direct-mapped), against the DIE and SIE anchors.
-
-use redsim_bench::{emit, ipc, mean, Cli, Harness, Job, Table};
-use redsim_core::{ExecMode, MachineConfig};
-use redsim_workloads::Workload;
-
-const SIZES: [usize; 8] = [16, 32, 64, 128, 256, 512, 1024, 4096];
+//! Reconstructed Fig. C: DIE-IRB IPC vs IRB capacity. Declared in
+//! `redsim_bench::figures::fig_size_sweep`.
 
 fn main() {
-    let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
-    let base = MachineConfig::paper_baseline();
-
-    let mut jobs = Vec::new();
-    for w in Workload::ALL {
-        jobs.push(Job::new(w, ExecMode::Die, &base));
-        jobs.push(Job::new(w, ExecMode::Sie, &base));
-        for &entries in &SIZES {
-            let mut cfg = base.clone();
-            cfg.irb.entries = entries;
-            jobs.push(Job::new(w, ExecMode::DieIrb, &cfg));
-        }
-    }
-    let (results, errors) = h.try_sweep(&jobs, cli.threads);
-
-    let mut header: Vec<String> = vec!["app".into(), "DIE".into()];
-    header.extend(SIZES.iter().map(|s| format!("IRB-{s}")));
-    header.push("SIE".into());
-    let mut table = Table::new(header);
-
-    let per_app = 2 + SIZES.len();
-    let mut per_size: Vec<Vec<f64>> = vec![Vec::new(); SIZES.len()];
-    for (w, runs) in Workload::ALL.iter().zip(results.chunks_exact(per_app)) {
-        let (die, sie) = (&runs[0], &runs[1]);
-        let mut cells = vec![w.name().to_owned(), ipc(die.ipc())];
-        for (i, s) in runs[2..].iter().enumerate() {
-            per_size[i].push(s.ipc());
-            cells.push(ipc(s.ipc()));
-        }
-        cells.push(ipc(sie.ipc()));
-        table.row(cells);
-    }
-    let mut cells = vec!["mean".to_owned(), String::new()];
-    cells.extend(per_size.iter().map(|v| ipc(mean(v))));
-    cells.push(String::new());
-    table.row(cells);
-
-    emit(
-        &cli,
-        "DIE-IRB IPC vs IRB capacity (reconstructed Fig. C)",
-        "",
-        &table,
-        h.stall_summary(),
-        &errors,
-        h.perf(),
-    );
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
+    redsim_bench::grid::main(redsim_bench::figures::fig_size_sweep);
 }

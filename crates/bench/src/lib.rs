@@ -21,6 +21,7 @@
 //! | `fig_cluster`      | the clustered alternative of §3 vs DIE-IRB vs SIE-2xALU |
 //! | `fig_scheduler`    | §3.3's data-capture vs non-data-capture reuse tests |
 //! | `fig_fidelity`     | wrong-path fetch + store-to-load forwarding sensitivity |
+//! | `fig_reuse_anatomy`| where reuse comes from: opcode class x loop structure |
 //!
 //! All binaries share one command line (see [`Cli`]):
 //!
@@ -30,10 +31,16 @@
 //!   (default: all available cores). Every simulation is single-threaded
 //!   and deterministic, so the results are identical for any `N`.
 //!
-//! The binaries build their experiment grid as a list of [`Job`]s and
-//! hand it to [`Harness::sweep`], which materializes each workload's
+//! Eleven of the figures are declared grids ([`figures`]): the runs each
+//! workload goes through and the columns computed from them. One runner
+//! ([`grid::main`]) turns a declaration into a list of [`Job`]s, hands it
+//! to [`Harness::try_sweep`], which materializes each workload's
 //! committed trace once (an `Arc<Trace>` recipe: program and count, which
-//! every job replays on its own emulator) and runs the grid in parallel.
+//! every job replays on its own emulator) and runs the grid in parallel,
+//! then tabulates and prints the result through [`finish`].
+//! `fig_recovery`, `fig_faults`, `fig_reuse_anatomy` and `table_config`
+//! have shapes a grid does not (replicas, per-scenario rows, per-mode
+//! rows, no runs) and keep their own bodies.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,6 +56,8 @@ use redsim_util::Json;
 use redsim_workloads::{Params, Workload};
 
 pub mod diff;
+pub mod figures;
+pub mod grid;
 
 /// Shared command line of the figure binaries.
 #[derive(Debug, Clone)]
@@ -941,27 +950,76 @@ pub fn emit(
     errors: &[JobError],
     perf: &Throughput,
 ) {
-    if cli.json {
-        let out = Json::obj()
-            .field("title", title)
-            .field("note", note)
-            .field("quick", cli.quick)
-            .field("table", table.to_json())
-            .field("stalls", stalls.to_json())
-            .field(
-                "errors",
-                errors.iter().map(JobError::to_json).collect::<Json>(),
-            )
-            .field("perf", perf.to_json());
-        println!("{out}");
-    } else {
-        println!("{title}");
-        if note.is_empty() {
+    let report = Report {
+        title,
+        note,
+        table,
+        extra: None,
+    };
+    report.print(cli, stalls, errors, perf);
+}
+
+/// The end of every harness-run figure binary: prints the table through
+/// [`emit`] with the harness's stall and perf totals, then exits 1 if any
+/// job failed. `extra` is one more JSON field, placed after `"table"`
+/// (text mode leaves it out).
+pub fn finish(
+    cli: &Cli,
+    title: &str,
+    note: &str,
+    table: &Table,
+    extra: Option<(&str, Json)>,
+    h: &Harness,
+    errors: &[JobError],
+) {
+    let report = Report {
+        title,
+        note,
+        table,
+        extra,
+    };
+    report.print(cli, h.stall_summary(), errors, h.perf());
+    if !errors.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// What [`emit`] and [`finish`] print besides the harness totals.
+struct Report<'a> {
+    title: &'a str,
+    note: &'a str,
+    table: &'a Table,
+    extra: Option<(&'a str, Json)>,
+}
+
+impl Report<'_> {
+    fn print(self, cli: &Cli, stalls: &StallSummary, errors: &[JobError], perf: &Throughput) {
+        if cli.json {
+            let mut out = Json::obj()
+                .field("title", self.title)
+                .field("note", self.note)
+                .field("quick", cli.quick)
+                .field("table", self.table.to_json());
+            if let Some((key, value)) = self.extra {
+                out = out.field(key, value);
+            }
+            let out = out
+                .field("stalls", stalls.to_json())
+                .field(
+                    "errors",
+                    errors.iter().map(JobError::to_json).collect::<Json>(),
+                )
+                .field("perf", perf.to_json());
+            println!("{out}");
+            return;
+        }
+        println!("{}", self.title);
+        if self.note.is_empty() {
             println!("(quick mode: {})\n", cli.quick);
         } else {
-            println!("({note}, quick mode: {})\n", cli.quick);
+            println!("({}, quick mode: {})\n", self.note, cli.quick);
         }
-        print!("{}", table.render());
+        print!("{}", self.table.render());
         for e in errors {
             eprintln!("error: job {} ({}): {}", e.index, e.label, e.message);
         }

@@ -154,22 +154,6 @@ impl Simulator {
         Ok(self)
     }
 
-    /// Enables transient-fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration
-    /// ([`FaultConfig::validate`]) — use
-    /// [`Simulator::try_with_faults`] to get the typed error instead.
-    #[deprecated(note = "use `try_with_faults` and handle the error")]
-    #[must_use]
-    pub fn with_faults(self, faults: FaultConfig) -> Self {
-        match self.try_with_faults(faults) {
-            Ok(sim) => sim,
-            Err(e) => panic!("invalid fault configuration: {e}"),
-        }
-    }
-
     /// Sets a watchdog deadline in simulated cycles. A run that reaches
     /// the deadline stops cleanly instead of erroring: the stats carry
     /// [`SimStats::watchdog_fired`](crate::SimStats) and every

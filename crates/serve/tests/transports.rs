@@ -1,13 +1,14 @@
 //! Transport tests for the shared accept loop: a full session over
 //! the unix socket, the stop paths the blocking `accept` must wake
-//! from (an `Engine::stop` with no client, a wildcard TCP bind), and
-//! a run of back-to-back fresh connections. Every server result comes
+//! from (an `Engine::stop` with no client, a wildcard TCP bind), a run
+//! of back-to-back fresh connections, and a maximally nested request
+//! line that must not take the daemon down. Every server result comes
 //! back through a channel with a bounded wait, so a loop that never
 //! wakes fails its test instead of hanging the suite.
 
 #![cfg(unix)]
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -177,5 +178,46 @@ fn back_to_back_fresh_connections_are_each_answered() {
     // The loop is back in a blocking accept; the stop must still wake it.
     engine.stop();
     assert_returns_ok(&server, "tcp after 50 connections");
+    engine.close().expect("close");
+}
+
+#[test]
+fn a_line_of_brackets_at_the_length_cap_gets_an_error_and_the_daemon_keeps_serving() {
+    let dir = test_dir("deep");
+    let engine = open(&dir);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = served_tcp(&engine, listener);
+
+    // 64 KiB − 1 brackets plus the newline: the longest line the daemon
+    // reads. An uncapped recursive parser overflows the connection
+    // thread's stack on it and aborts the whole process.
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(BOUND)).expect("read timeout");
+    let mut line = "[".repeat(64 * 1024 - 1);
+    line.push('\n');
+    raw.write_all(line.as_bytes()).expect("send the deep line");
+    let mut reply = String::new();
+    std::io::BufReader::new(&raw)
+        .read_line(&mut reply)
+        .expect("error reply");
+    let reply = Json::parse(reply.trim_end()).expect("reply is JSON");
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{reply}"
+    );
+    assert!(
+        reply
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("nesting")),
+        "{reply}"
+    );
+
+    let mut client = Client::connect_tcp(&addr.to_string()).expect("connect after");
+    ping(&mut client);
+    engine.stop();
+    assert_returns_ok(&server, "tcp after the deep line");
     engine.close().expect("close");
 }

@@ -25,6 +25,12 @@
 
 use std::fmt;
 
+/// The deepest array/object nesting [`Json::parse`] accepts (serde_json's
+/// default). The parser recurses once per level, so without a cap a
+/// line of `[` could overflow the reading thread's stack; past it the
+/// parse fails with a [`JsonParseError`] instead.
+pub const MAX_NESTING: usize = 128;
+
 /// A structural misuse of the [`Json`] mutation API: writing a field
 /// on a non-object or appending to a non-array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,6 +219,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -286,6 +293,8 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -323,8 +332,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -332,6 +340,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// An array or object one level deeper, refused past [`MAX_NESTING`].
+    fn nested(&mut self) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonParseError> {
@@ -687,6 +710,31 @@ mod tests {
         }
         let e = Json::parse("[1, oops]").unwrap_err();
         assert!(e.to_string().contains("byte 4"), "{e}");
+    }
+
+    #[test]
+    fn parse_accepts_nesting_up_to_the_cap_and_refuses_one_more() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(Json::parse(&nest(open, close, MAX_NESTING)).is_ok());
+            let e = Json::parse(&nest(open, close, MAX_NESTING + 1)).unwrap_err();
+            assert_eq!(e.msg, "nesting deeper than 128 levels");
+        }
+    }
+
+    #[test]
+    fn a_max_length_request_line_of_brackets_is_an_error_not_a_stack_overflow() {
+        // 64 KiB − 1 bytes: the longest line the serve daemon reads, on a
+        // thread with the default 2 MiB stack its connections run on.
+        let line = "[".repeat(64 * 1024 - 1);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&line))
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread finished");
+        let e = parsed.unwrap_err();
+        assert_eq!(e.pos, MAX_NESTING, "{e}");
     }
 
     #[test]

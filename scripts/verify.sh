@@ -59,6 +59,16 @@ bench_smoke() {
     # optimization, never a model change.
     echo "==> quick-mode figure goldens"
     local fig
+    # Every figure binary must have a golden, so a new figure cannot
+    # skip the byte-compare below.
+    for fig in crates/bench/src/bin/*.rs; do
+        local name
+        name=$(basename "$fig" .rs)
+        if [ "$name" != redsim_bench ] && [ ! -f "results/quick/$name.json" ]; then
+            echo "FAIL: figure binary $name has no golden results/quick/$name.json" >&2
+            exit 1
+        fi
+    done
     for fig in results/quick/*.json; do
         local name
         name=$(basename "$fig" .json)
