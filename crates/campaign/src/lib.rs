@@ -27,11 +27,12 @@
 //!   deterministic, and the final report embeds the record lines sorted
 //!   by shard id. Any thread count, and any interrupt/resume split,
 //!   produces the identical report file.
-//! * **Crash-consistent manifests** — every record is framed with a
-//!   per-record checksum ([`manifest`]); a torn trailing frame (the
-//!   process was killed mid-write) is discarded on resume and its shard
-//!   re-runs, while a damaged *interior* frame is a typed
-//!   [`CampaignError::Corrupt`] naming the line — never a silent skip.
+//! * **Crash-consistent manifests** — the manifest ([`manifest`]) is a
+//!   [`framed_log`]: every record carries its own checksum; a torn
+//!   trailing frame (the process was killed mid-write) is discarded on
+//!   resume and its shard re-runs, while a damaged *interior* frame is
+//!   a typed [`CampaignError::Corrupt`] naming the line — never a
+//!   silent skip.
 //!   Resume rewrites the manifest and writes the report atomically
 //!   (temp file + rename + fsync barriers per [`FsyncPolicy`]), and all
 //!   filesystem traffic flows through a swappable [`Io`] backend so the
@@ -45,7 +46,6 @@
 
 use std::collections::BTreeMap;
 use std::hash::Hasher;
-use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,15 +58,16 @@ use redsim_core::{
     MachineConfig, SimStats, Simulator, TraceSource, WindowSample,
 };
 use redsim_isa::trace::Trace;
+use redsim_util::framed_log::{self, Appender};
 use redsim_util::hash::FxHasher;
-use redsim_util::io::{atomic_write, write_all_retrying, FsyncPolicy, Io, IoFile, RealIo};
+use redsim_util::io::{atomic_write, FsyncPolicy, Io, RealIo};
 use redsim_util::Json;
 use redsim_workloads::Workload;
 
 pub mod manifest;
 pub mod supervisor;
 
-use manifest::{frame_record, header_line, parse_manifest};
+use manifest::header_line;
 use supervisor::execute_shard;
 pub use supervisor::{DeadlineMonitor, FlakePlan, RetryPolicy, ShardFailure};
 
@@ -664,63 +665,6 @@ fn failed_records(records: &BTreeMap<usize, String>) -> (Vec<JobError>, Vec<JobE
     (failed, quarantined)
 }
 
-/// The shared, error-latching manifest appender. One frame per record,
-/// written whole through [`write_all_retrying`] (EINTR and short
-/// writes are absorbed) and optionally fsynced per record. The *first*
-/// IO error latches: every later append refuses immediately, so at
-/// most the latching write can leave a torn frame — and it is the last
-/// line of the file, exactly the shape resume tolerates.
-struct ManifestSink {
-    state: Mutex<SinkState>,
-    sync_each: bool,
-}
-
-struct SinkState {
-    file: Box<dyn IoFile>,
-    error: Option<std::io::Error>,
-}
-
-impl ManifestSink {
-    fn open(io: &dyn Io, path: &Path, fsync: FsyncPolicy) -> std::io::Result<Self> {
-        Ok(ManifestSink {
-            state: Mutex::new(SinkState {
-                file: io.open_append(path)?,
-                error: None,
-            }),
-            sync_each: fsync.sync_records(),
-        })
-    }
-
-    /// Appends one framed record; `false` means the sink is dead (this
-    /// call or an earlier one hit an IO error) and the campaign should
-    /// wind down.
-    fn append(&self, payload: &str) -> bool {
-        let mut st = self.state.lock().expect("manifest sink lock");
-        if st.error.is_some() {
-            return false;
-        }
-        let framed = format!("{}\n", frame_record(payload));
-        let r = write_all_retrying(st.file.as_mut(), framed.as_bytes()).and_then(|()| {
-            if self.sync_each {
-                st.file.sync()
-            } else {
-                Ok(())
-            }
-        });
-        match r {
-            Ok(()) => true,
-            Err(e) => {
-                st.error = Some(e);
-                false
-            }
-        }
-    }
-
-    fn into_error(self) -> Option<std::io::Error> {
-        self.state.into_inner().expect("manifest sink lock").error
-    }
-}
-
 /// Runs (or resumes) a campaign.
 ///
 /// Completed shards checkpoint to `opts.progress_path` as they finish
@@ -753,34 +697,20 @@ pub fn run_campaign(
         io.create_dir_all(dir)?;
     }
 
-    let mut done: BTreeMap<usize, String> = BTreeMap::new();
-    if opts.resume {
-        match io.read_to_string(&opts.progress_path) {
-            Ok(text) => done = parse_manifest(&text, &header, shards.len())?,
-            Err(e) if e.kind() == ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-
-    // (Re)write the manifest cleanly — header plus every known-good
-    // record, freshly framed — atomically (temp file + rename, fsync
-    // per policy), so a torn tail from a previous kill never corrupts
-    // the lines appended next.
-    {
-        let mut buf = String::with_capacity(256 + done.values().map(String::len).sum::<usize>());
-        buf.push_str(&header);
-        buf.push('\n');
-        for line in done.values() {
-            buf.push_str(&frame_record(line));
-            buf.push('\n');
-        }
-        atomic_write(
-            io,
-            &opts.progress_path,
-            buf.as_bytes(),
-            opts.fsync.sync_barriers(),
-        )?;
-    }
+    let mut done = if opts.resume {
+        manifest::load(io, &opts.progress_path, &header, shards.len())?
+    } else {
+        BTreeMap::new()
+    };
+    // Rewrite the manifest cleanly, so a torn tail from a previous
+    // kill never precedes the lines appended next.
+    framed_log::rewrite(
+        io,
+        &opts.progress_path,
+        &header,
+        done.values(),
+        opts.fsync.sync_barriers(),
+    )?;
 
     let mut pending: Vec<Shard> = shards
         .iter()
@@ -808,7 +738,7 @@ pub fn run_campaign(
                     .map_err(|e| JobFailure::new(JobErrorKind::Trace, e.to_string()))
             })
             .collect();
-        let sink = ManifestSink::open(io, &opts.progress_path, opts.fsync)?;
+        let sink = Appender::open(io, &opts.progress_path, opts.fsync.sync_records())?;
         let monitor = opts.host_deadline.map(|_| DeadlineMonitor::new());
         let abort = AtomicBool::new(false);
         let next = AtomicUsize::new(0);
@@ -870,7 +800,7 @@ pub fn run_campaign(
                 });
             }
         });
-        if let Some(e) = sink.into_error() {
+        if let Some(e) = sink.error() {
             return Err(CampaignError::Io(e));
         }
         for (id, line) in fresh.into_inner().expect("record list lock") {

@@ -1,36 +1,19 @@
-//! Crash-consistent manifest framing.
-//!
-//! A version-2 progress manifest is JSONL with one *frame* per record:
+//! The campaign progress manifest: a [`framed_log`] whose header names
+//! the campaign, with one `shard` record per completed shard.
 //!
 //! ```text
 //! {"kind":"header","version":2,"fingerprint":"00ab…","shards":28}
 //! {"crc":"9f3c21d07a5e448b","rec":{"kind":"shard","id":0,…}}
-//! {"crc":"04d1fe2b93c07a66","rec":{"kind":"shard","id":3,…}}
 //! ```
 //!
-//! The `crc` field is the [`fx64`] checksum of the exact payload bytes
-//! between `"rec":` and the closing brace, rendered as 16 lowercase hex
-//! digits. Because the frame prefix is fixed-width, verification never
-//! needs a JSON parse: slice, hash, compare. Each frame is still a
-//! valid JSON object, so `jq` keeps working on manifests.
-//!
-//! The checksum is what lets resume distinguish the two corruption
-//! shapes that matter:
-//!
-//! * **Torn tail** — the process died mid-append, leaving a partial (or
-//!   checksum-failing) *last* line. Expected under kills; the line is
-//!   discarded and its shard re-runs.
-//! * **Interior corruption** — a frame *before* the last line fails the
-//!   checksum or does not parse. That is never produced by our append
-//!   discipline (a latched write error stops all further appends, so
-//!   only the tail can tear) and means the file was damaged at rest.
-//!   Resume refuses with a typed [`CampaignError::Corrupt`] naming the
-//!   1-based line, rather than silently re-running shards whose results
-//!   exist.
+//! A torn last line is discarded on resume and its shard re-runs;
+//! earlier damage is a typed [`CampaignError::Corrupt`].
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
-use redsim_util::hash::fx64;
+use redsim_util::framed_log::{self, LogError};
+use redsim_util::io::Io;
 use redsim_util::Json;
 
 use crate::CampaignError;
@@ -39,9 +22,6 @@ use crate::CampaignError;
 /// per-record checksums; a version-1 manifest fails the header match
 /// and is reported as a mismatch, never half-parsed.
 pub const MANIFEST_VERSION: u64 = 2;
-
-/// Length of the fixed frame prefix `{"crc":"<16 hex>","rec":`.
-const FRAME_PREFIX_LEN: usize = 8 + 16 + 8;
 
 /// The manifest header line for a campaign.
 #[must_use]
@@ -54,148 +34,85 @@ pub fn header_line(fingerprint: u64, shards: usize) -> String {
         .to_string()
 }
 
-/// Wraps a record payload in its checksummed frame.
-#[must_use]
-pub fn frame_record(payload: &str) -> String {
-    format!(
-        "{{\"crc\":\"{:016x}\",\"rec\":{payload}}}",
-        fx64(payload.as_bytes())
-    )
-}
-
-/// Validates one frame and returns the payload slice.
+/// Loads a progress manifest into `id → verbatim payload line`. A
+/// missing manifest has no records.
 ///
-/// # Errors
-///
-/// A human-readable description of the defect (bad prefix, bad hex,
-/// checksum mismatch) — the caller decides whether the position makes
-/// it a tolerable torn tail or fatal interior corruption.
-pub fn unframe_record(line: &str) -> Result<&str, String> {
-    let Some(rest) = line.strip_prefix("{\"crc\":\"") else {
-        return Err("frame does not start with {\"crc\":\"".to_owned());
-    };
-    if rest.len() < 16 + 8 + 1 {
-        return Err("frame truncated before the payload".to_owned());
-    }
-    let (hex, rest) = rest.split_at(16);
-    let Ok(want) = u64::from_str_radix(hex, 16) else {
-        return Err(format!("checksum field {hex:?} is not 16 hex digits"));
-    };
-    let Some(rest) = rest.strip_prefix("\",\"rec\":") else {
-        return Err("frame missing \",\"rec\": after the checksum".to_owned());
-    };
-    let Some(payload) = rest.strip_suffix('}') else {
-        return Err("frame missing its closing brace".to_owned());
-    };
-    let got = fx64(payload.as_bytes());
-    if got != want {
-        return Err(format!(
-            "checksum mismatch: header says {want:016x}, payload hashes to {got:016x}"
-        ));
-    }
-    debug_assert_eq!(line.len(), FRAME_PREFIX_LEN + payload.len() + 1);
-    Ok(payload)
-}
-
-/// Parses a progress manifest back into `id → verbatim payload line`.
-///
-/// A frame that fails validation (or whose payload does not parse as a
-/// shard record) is tolerated only as the *last* line — the torn tail
-/// of a kill mid-append; its shard simply re-runs. The same defect on
-/// an interior line is at-rest damage and yields
-/// [`CampaignError::Corrupt`] naming the line. Duplicate ids keep the
-/// last record, so a shard recorded again after a torn first attempt
-/// settles on the complete record.
+/// A shard record whose payload is not JSON or has no id is damage
+/// (tolerated only as the torn last line). A checksummed record of
+/// another kind is a format extension and is skipped. Duplicate ids
+/// keep the last record, so a shard recorded again after a torn first
+/// attempt settles on the complete record.
 ///
 /// # Errors
 ///
 /// [`CampaignError::Mismatch`] when the header belongs to a different
 /// campaign or a record's id is out of range;
-/// [`CampaignError::Corrupt`] on a damaged interior record.
-pub fn parse_manifest(
-    text: &str,
+/// [`CampaignError::Corrupt`] on a damaged interior record;
+/// [`CampaignError::Io`] when the manifest exists but cannot be read.
+pub fn load(
+    io: &dyn Io,
+    path: &Path,
     expect_header: &str,
     shards: usize,
 ) -> Result<BTreeMap<usize, String>, CampaignError> {
-    let mut lines = text.lines().enumerate().peekable();
-    match lines.next() {
-        None => return Ok(BTreeMap::new()),
-        Some((_, h)) if h == expect_header => {}
-        Some((_, h)) => {
-            return Err(CampaignError::Mismatch(format!(
-                "header {h:?} does not match this campaign (expected {expect_header:?})"
-            )));
-        }
-    }
     let mut done = BTreeMap::new();
-    while let Some((idx, line)) = lines.next() {
-        let last = lines.peek().is_none();
-        let defect = match unframe_record(line) {
-            Err(d) => Some(d),
-            Ok(payload) => match Json::parse(payload) {
-                Err(e) => Some(format!("payload is not valid JSON: {e}")),
-                Ok(j) => {
-                    if j.get("kind").and_then(Json::as_str) != Some("shard") {
-                        // A checksummed non-shard record is a format
-                        // extension, not damage; skip it either way.
-                        continue;
-                    }
-                    match j.get("id").and_then(Json::as_u64) {
-                        None => Some("shard record has no id".to_owned()),
-                        Some(id) => {
-                            let id = id as usize;
-                            if id >= shards {
-                                return Err(CampaignError::Mismatch(format!(
-                                    "record id {id} out of range for {shards} shards"
-                                )));
-                            }
-                            done.insert(id, payload.to_owned());
-                            None
-                        }
-                    }
-                }
-            },
-        };
-        if let Some(detail) = defect {
-            if last {
-                continue; // torn tail: the shard re-runs
-            }
-            return Err(CampaignError::Corrupt {
-                line: idx + 1,
-                detail,
-            });
+    let mut out_of_range = None;
+    framed_log::read(io, path, expect_header, |payload| {
+        let j = Json::parse(payload).map_err(|e| format!("payload is not valid JSON: {e}"))?;
+        if j.get("kind").and_then(Json::as_str) != Some("shard") {
+            return Ok(());
         }
+        let id = j
+            .get("id")
+            .and_then(Json::as_u64)
+            .ok_or("shard record has no id")? as usize;
+        if id < shards {
+            done.insert(id, payload.to_owned());
+        } else {
+            out_of_range.get_or_insert(id);
+        }
+        Ok(())
+    })
+    .map_err(|e| match e {
+        LogError::Io(e) => CampaignError::Io(e),
+        LogError::ForeignHeader(h) => CampaignError::Mismatch(format!(
+            "header {h:?} does not match this campaign (expected {expect_header:?})"
+        )),
+        LogError::Corrupt { line, detail } => CampaignError::Corrupt { line, detail },
+    })?;
+    match out_of_range {
+        Some(id) => Err(CampaignError::Mismatch(format!(
+            "record id {id} out of range for {shards} shards"
+        ))),
+        None => Ok(done),
     }
-    Ok(done)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redsim_util::framed_log::frame as frame_record;
+    use redsim_util::io::RealIo;
+
+    /// Loads `text` as a manifest file, the way resume reads one.
+    fn parse_manifest(
+        text: &str,
+        expect_header: &str,
+        shards: usize,
+    ) -> Result<BTreeMap<usize, String>, CampaignError> {
+        let dir = std::env::temp_dir().join(format!("redsim-manifest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("test dir");
+        let path = dir.join(format!(
+            "{:016x}.progress.jsonl",
+            redsim_util::hash::fx64(text.as_bytes())
+        ));
+        std::fs::write(&path, text).expect("write manifest");
+        load(&RealIo, &path, expect_header, shards)
+    }
 
     const REC0: &str = r#"{"kind":"shard","id":0,"scenario":0,"rep":0,"label":"l","ok":true}"#;
     const REC2: &str =
         r#"{"kind":"shard","id":2,"scenario":0,"rep":0,"label":"l","ok":false,"error":"x"}"#;
-
-    #[test]
-    fn frames_round_trip_and_stay_valid_json() {
-        let framed = frame_record(REC0);
-        assert_eq!(unframe_record(&framed).expect("valid frame"), REC0);
-        let j = Json::parse(&framed).expect("frame is itself JSON");
-        assert_eq!(
-            j.get("rec")
-                .and_then(|r| r.get("id"))
-                .and_then(Json::as_u64),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn a_flipped_payload_byte_fails_the_checksum() {
-        let framed = frame_record(REC0).replace("\"ok\":true", "\"ok\":false");
-        let err = unframe_record(&framed).expect_err("corrupt");
-        assert!(err.contains("checksum mismatch"), "{err}");
-    }
 
     #[test]
     fn torn_tail_is_tolerated_but_interior_damage_is_typed() {

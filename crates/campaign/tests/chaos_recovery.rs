@@ -2,9 +2,11 @@
 //! faults are absorbed, retry is deterministic, quarantine degrades
 //! gracefully, and at-rest manifest damage is a typed refusal.
 //!
-//! The kill-at-every-write-boundary sweep lives in the workspace-level
-//! `tests/chaos_recovery.rs`; this file covers the per-property pieces
-//! the sweep builds on.
+//! The workspace-level `tests/chaos_recovery.rs` sweeps a kill across
+//! every write boundary at rotating resume thread counts; this file
+//! holds the per-property pieces that sweep builds on, plus the same
+//! sweep in the shape of the serve journal's, so both users of the
+//! shared record log are pinned by one recipe.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -204,4 +206,59 @@ fn an_expired_host_deadline_quarantines_with_the_deadline_kind() {
     }
     let again = run(4, "deadline4");
     assert_eq!(again.report, report.report);
+}
+
+#[test]
+fn kill_at_every_io_boundary_then_resume_is_byte_identical() {
+    // Four shards: a kill can land between, or inside, several appends.
+    let spec = CampaignSpec {
+        seeds: 4,
+        ..small_spec()
+    };
+    let reference = reference_report(&spec);
+
+    // Probe: count the IO operations of a clean run.
+    let probe = ChaosIo::new(Arc::new(RealIo), ChaosConfig::quiet(0));
+    let mut o = opts("kill-probe", 2);
+    o.io = Arc::new(probe.clone());
+    assert_eq!(
+        complete(run_campaign(&spec, &o).expect("quiet chaos")).report,
+        reference
+    );
+    let ops = probe.ops();
+    assert!(ops >= 10, "the run must cross many write boundaries: {ops}");
+
+    // Kill at every boundary (the last one is a run that finishes),
+    // then resume on the real filesystem.
+    for kill_at in 0..=ops {
+        let mut o = opts(&format!("kill-{kill_at}"), 2);
+        let chaos = ChaosIo::new(
+            Arc::new(RealIo),
+            ChaosConfig {
+                kill_after_ops: Some(kill_at),
+                ..ChaosConfig::quiet(0)
+            },
+        );
+        o.io = Arc::new(chaos.clone());
+        match run_campaign(&spec, &o) {
+            Ok(_) => assert!(
+                !chaos.killed(),
+                "a killed run must report a failure (kill_at={kill_at})"
+            ),
+            Err(CampaignError::Io(_)) => {}
+            Err(e) => panic!("kill_at={kill_at}: unexpected error {e}"),
+        }
+        o.io = Arc::new(RealIo);
+        o.resume = true;
+        let resumed = complete(run_campaign(&spec, &o).expect("resume after the kill"));
+        assert_eq!(
+            resumed.report, reference,
+            "kill_at={kill_at}: the resumed report diverged"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&o.report_path).expect("report on disk"),
+            reference
+        );
+        let _ = std::fs::remove_dir_all(o.progress_path.parent().expect("campaign dir"));
+    }
 }

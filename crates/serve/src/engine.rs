@@ -12,11 +12,11 @@
 //! any kill/restart schedule.
 //!
 //! The first journal-append failure latches the engine into an
-//! aborted state (mirroring the campaign manifest sink): no further
+//! aborted state (the same latch the campaign manifest has): no further
 //! submissions are acknowledged and workers stop, so only the
 //! journal's final line can ever be torn.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use redsim_campaign::supervisor::{execute_shard, DeadlineMonitor, RetryPolicy};
 use redsim_core::{attribution_to_json, Histogram, MetricsRegistry, SimStats};
-use redsim_util::io::{atomic_write, FsyncPolicy, Io};
+use redsim_util::io::{FsyncPolicy, Io};
 use redsim_util::Json;
 
 use crate::journal::{self, JournalSink, JournalState};
@@ -139,12 +139,12 @@ pub struct StatusSnapshot {
 
 struct QState {
     queue: VecDeque<u64>,
-    specs: BTreeMap<u64, JobSpec>,
-    results: BTreeMap<u64, String>,
+    /// Acknowledged jobs, their results and the next id: what the
+    /// journal holds.
+    journal: JournalState,
     /// fingerprint → id of the first submission with that spec.
     by_fp: HashMap<u64, u64>,
     running: BTreeSet<u64>,
-    next_id: u64,
     stop: bool,
     io_error: Option<String>,
 }
@@ -207,10 +207,10 @@ impl Engine {
         let state = journal::load(io.as_ref(), &journal_path)?;
         // Compact on open: the on-disk journal starts every run clean
         // (no torn tail, records in id order).
-        atomic_write(
+        journal::compact(
             io.as_ref(),
             &journal_path,
-            journal::render(&state).as_bytes(),
+            &state,
             opts.fsync.sync_barriers(),
         )?;
         let store = TraceStore::open(
@@ -220,11 +220,7 @@ impl Engine {
         )?;
         let sink = JournalSink::open(io.as_ref(), &journal_path, opts.fsync.sync_records())?;
 
-        let JournalState {
-            specs,
-            results,
-            next_id,
-        } = state;
+        let JournalState { specs, results, .. } = &state;
         let by_fp: HashMap<u64, u64> = specs.iter().map(|(&id, s)| (s.fingerprint(), id)).collect();
         let queue: VecDeque<u64> = specs
             .keys()
@@ -242,11 +238,9 @@ impl Engine {
             sink,
             q: Mutex::new(QState {
                 queue,
-                specs,
-                results,
+                journal: state,
                 by_fp,
                 running: BTreeSet::new(),
-                next_id,
                 stop: false,
                 io_error: None,
             }),
@@ -304,20 +298,20 @@ impl Engine {
             self.shared.metrics.lock().expect("metrics lock").dedup_hits += 1;
             return Ok((id, true));
         }
-        let id = q.next_id;
+        let id = q.journal.next_id;
         if !self.shared.sink.append(&journal::job_record(id, spec)) {
             let e = self
                 .shared
                 .sink
                 .error()
-                .unwrap_or_else(|| "journal append failed".to_owned());
+                .map_or_else(|| "journal append failed".to_owned(), |e| e.to_string());
             q.io_error = Some(e.clone());
             self.shared.work_cv.notify_all();
             self.shared.done_cv.notify_all();
             return Err(ServeError::Io(std::io::Error::other(e)));
         }
-        q.next_id = id + 1;
-        q.specs.insert(id, spec.clone());
+        q.journal.next_id = id + 1;
+        q.journal.specs.insert(id, spec.clone());
         q.by_fp.insert(fp, id);
         q.queue.push_back(id);
         self.shared.metrics.lock().expect("metrics lock").submitted += 1;
@@ -337,6 +331,7 @@ impl Engine {
             .q
             .lock()
             .expect("engine queue lock")
+            .journal
             .results
             .get(&id)
             .cloned()
@@ -357,7 +352,7 @@ impl Engine {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut q = self.shared.q.lock().expect("engine queue lock");
         loop {
-            if let Some(res) = q.results.get(&id) {
+            if let Some(res) = q.journal.results.get(&id) {
                 return Ok(Some(res.clone()));
             }
             if let Some(e) = &q.io_error {
@@ -420,9 +415,14 @@ impl Engine {
         StatusSnapshot {
             queued: q.queue.len(),
             running: q.running.len(),
-            done: q.results.len(),
-            failed: q.results.values().filter(|r| !result_is_ok(r)).count(),
-            next_id: q.next_id,
+            done: q.journal.results.len(),
+            failed: q
+                .journal
+                .results
+                .values()
+                .filter(|r| !result_is_ok(r))
+                .count(),
+            next_id: q.journal.next_id,
         }
     }
 
@@ -472,16 +472,10 @@ impl Engine {
         self.stop();
         self.join_workers();
         let q = self.shared.q.lock().expect("engine queue lock");
-        let state = JournalState {
-            specs: q.specs.clone(),
-            results: q.results.clone(),
-            next_id: q.next_id,
-        };
-        drop(q);
-        atomic_write(
+        journal::compact(
             self.shared.io.as_ref(),
             &self.shared.journal_path,
-            journal::render(&state).as_bytes(),
+            &q.journal,
             self.shared.opts.fsync.sync_barriers(),
         )?;
         Ok(())
@@ -505,10 +499,11 @@ impl Engine {
     #[must_use]
     pub fn jobs_json(&self) -> Json {
         let q = self.shared.q.lock().expect("engine queue lock");
-        q.specs
+        q.journal
+            .specs
             .iter()
             .map(|(&id, spec)| {
-                let state = match q.results.get(&id) {
+                let state = match q.journal.results.get(&id) {
                     Some(res) if result_is_ok(res) => "done",
                     Some(_) => "failed",
                     None if q.running.contains(&id) => "running",
@@ -537,6 +532,7 @@ impl Engine {
             .q
             .lock()
             .expect("engine queue lock")
+            .journal
             .specs
             .contains_key(&id)
     }
@@ -681,7 +677,12 @@ fn worker_loop(shared: &Shared) {
                     return;
                 }
                 if let Some(id) = q.queue.pop_front() {
-                    let spec = q.specs.get(&id).expect("queued id has a spec").clone();
+                    let spec = q
+                        .journal
+                        .specs
+                        .get(&id)
+                        .expect("queued id has a spec")
+                        .clone();
                     q.running.insert(id);
                     break (id, spec);
                 }
@@ -695,7 +696,7 @@ fn worker_loop(shared: &Shared) {
         let mut q = shared.q.lock().expect("engine queue lock");
         q.running.remove(&id);
         if shared.sink.append(&journal::done_record(id, &res)) {
-            q.results.insert(id, res);
+            q.journal.results.insert(id, res);
             let mut m = shared.metrics.lock().expect("metrics lock");
             m.latency_ms.record(latency_ms);
             if !ok {
@@ -709,7 +710,7 @@ fn worker_loop(shared: &Shared) {
                 shared
                     .sink
                     .error()
-                    .unwrap_or_else(|| "journal append failed".to_owned()),
+                    .map_or_else(|| "journal append failed".to_owned(), |e| e.to_string()),
             );
             shared.work_cv.notify_all();
         }

@@ -1,39 +1,28 @@
-//! The durable job journal.
+//! The durable job journal: a [`framed_log`] under the header
+//! `{"kind":"serve-journal","version":1}`, one file per state directory.
+//! A `job` record is an *acknowledged* submission, a `done` record its
+//! result. A torn last line (a job never acknowledged, or a result that
+//! re-runs) is skipped on [`load`]; damage before it is a typed
+//! [`ServeError::Corrupt`].
 //!
-//! One append-only JSONL file per state directory, reusing the
-//! campaign manifest's CRC framing ([`frame_record`] /
-//! [`unframe_record`]) so every record carries its own checksum:
-//!
-//! ```text
-//! {"kind":"serve-journal","version":1}
-//! {"crc":"…","rec":{"kind":"job","id":0,"spec":{…}}}
-//! {"crc":"…","rec":{"kind":"done","id":0,"res":{…}}}
-//! ```
-//!
-//! A `job` record is an *acknowledged* submission; a `done` record is
-//! its result. The append discipline latches on the first write error
-//! (see [`JournalSink`]), so — exactly as in the campaign manifest —
-//! only the final line can ever be torn. [`load`] therefore tolerates
-//! a defective *last* line (the job or result it carried simply was
-//! never acknowledged / re-runs) but refuses interior damage with a
-//! typed [`ServeError::Corrupt`].
-//!
-//! Every result payload is built from integers, bools and strings
-//! only — no floats, no wall-clock — so `parse → to_string` is
-//! byte-exact and a compacted journal ([`render`]) is a deterministic
-//! function of the state it encodes.
+//! Result payloads are integers, bools and strings only — no floats, no
+//! wall-clock — so `parse → to_string` is byte-exact and a [`compact`]ed
+//! journal is a deterministic function of the state it encodes.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::Mutex;
 
-use redsim_campaign::manifest::{frame_record, unframe_record};
-use redsim_util::io::{write_all_retrying, Io, IoFile};
+use redsim_util::framed_log::{self, LogError};
+use redsim_util::io::Io;
 use redsim_util::Json;
 
 use crate::spec::JobSpec;
 use crate::ServeError;
+
+/// The journal's appender. Its first failed append latches, and the
+/// engine then stops accepting work.
+pub use redsim_util::framed_log::Appender as JournalSink;
 
 /// Journal format version; a mismatch is a typed refusal, never a
 /// half-parse.
@@ -76,24 +65,27 @@ pub struct JournalState {
     pub next_id: u64,
 }
 
-/// The compacted rendering of a state: header, job records in id
-/// order, done records in id order — a pure function of the state, so
-/// two drained servers with the same history compact to identical
-/// bytes regardless of worker count or append interleaving.
-#[must_use]
-pub fn render(state: &JournalState) -> String {
-    let mut out = String::new();
-    out.push_str(&header_line());
-    out.push('\n');
-    for (&id, spec) in &state.specs {
-        out.push_str(&frame_record(&job_record(id, spec)));
-        out.push('\n');
+impl JournalState {
+    /// The compacted record order: job records in id order, then done
+    /// records in id order — a pure function of the state, so two
+    /// drained servers with the same history compact to identical bytes
+    /// regardless of worker count or append interleaving.
+    fn payloads(&self) -> impl Iterator<Item = String> + '_ {
+        let jobs = self.specs.iter().map(|(&id, spec)| job_record(id, spec));
+        let dones = self.results.iter().map(|(&id, res)| done_record(id, res));
+        jobs.chain(dones)
     }
-    for (&id, res) in &state.results {
-        out.push_str(&frame_record(&done_record(id, res)));
-        out.push('\n');
-    }
-    out
+}
+
+/// Rewrites the journal at `path` as the compacted rendering of
+/// `state` (header, then [`JournalState`]'s record order), atomically.
+///
+/// # Errors
+///
+/// Any `io::Error` from the atomic rewrite; the old journal is then
+/// untouched.
+pub fn compact(io: &dyn Io, path: &Path, state: &JournalState, sync: bool) -> io::Result<()> {
+    framed_log::rewrite(io, path, &header_line(), state.payloads(), sync)
 }
 
 /// Loads a journal, tolerating a torn tail and refusing interior
@@ -107,46 +99,24 @@ pub fn render(state: &JournalState) -> String {
 /// [`ServeError::Corrupt`] on interior damage, [`ServeError::Io`] when
 /// the file exists but cannot be read.
 pub fn load(io: &dyn Io, path: &Path) -> Result<JournalState, ServeError> {
-    if !io.exists(path) {
-        return Ok(JournalState::default());
-    }
-    let text = io.read_to_string(path)?;
-    let mut lines = text.lines().enumerate().peekable();
-    match lines.next() {
-        None => return Ok(JournalState::default()),
-        Some((_, h)) if h == header_line() => {}
-        Some((_, h)) => {
-            return Err(ServeError::Mismatch(format!(
-                "header {h:?} is not a v{JOURNAL_VERSION} serve journal"
-            )));
-        }
-    }
     let mut state = JournalState::default();
-    while let Some((idx, line)) = lines.next() {
-        let last = lines.peek().is_none();
-        match parse_record(line, &mut state) {
-            Ok(()) => {}
-            Err(detail) if last => {
-                // Torn tail: the record was never acknowledged.
-                let _ = detail;
-            }
-            Err(detail) => {
-                return Err(ServeError::Corrupt {
-                    line: idx + 1,
-                    detail,
-                });
-            }
-        }
-    }
+    framed_log::read(io, path, &header_line(), |payload| {
+        parse_record(payload, &mut state)
+    })
+    .map_err(|e| match e {
+        LogError::Io(e) => ServeError::Io(e),
+        LogError::ForeignHeader(h) => ServeError::Mismatch(format!(
+            "header {h:?} is not a v{JOURNAL_VERSION} serve journal"
+        )),
+        LogError::Corrupt { line, detail } => ServeError::Corrupt { line, detail },
+    })?;
     state.next_id = state.specs.keys().next_back().map_or(0, |&id| id + 1);
     Ok(state)
 }
 
-/// Validates one framed line and folds it into the state. Returns the
-/// defect description on failure (the caller decides torn-tail vs
-/// interior).
-fn parse_record(line: &str, state: &mut JournalState) -> Result<(), String> {
-    let payload = unframe_record(line)?;
+/// Folds one record payload into the state, or returns the defect
+/// (leaving the state untouched).
+fn parse_record(payload: &str, state: &mut JournalState) -> Result<(), String> {
     let j = Json::parse(payload).map_err(|e| format!("payload is not valid JSON: {e}"))?;
     let id = |j: &Json| -> Result<u64, String> {
         j.get("id")
@@ -157,7 +127,7 @@ fn parse_record(line: &str, state: &mut JournalState) -> Result<(), String> {
         Some("job") => {
             let id = id(&j)?;
             let spec = j.get("spec").ok_or("job record has no spec")?;
-            let spec = JobSpec::parse(spec)?;
+            let spec = JobSpec::parse(spec).map_err(|e| e.to_string())?;
             state.specs.insert(id, spec);
             Ok(())
         }
@@ -179,86 +149,6 @@ fn parse_record(line: &str, state: &mut JournalState) -> Result<(), String> {
     }
 }
 
-struct SinkInner {
-    file: Option<Box<dyn IoFile>>,
-    error: Option<String>,
-}
-
-/// An error-latching journal appender: the first failed append (or
-/// sync) poisons the sink, every later append fails fast, and the
-/// engine stops accepting work — which is what guarantees only the
-/// journal's final line can ever be torn.
-pub struct JournalSink {
-    sync: bool,
-    inner: Mutex<SinkInner>,
-}
-
-impl std::fmt::Debug for JournalSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JournalSink").finish_non_exhaustive()
-    }
-}
-
-impl JournalSink {
-    /// Opens the journal for appending. `sync` adds a durability
-    /// barrier after every record.
-    ///
-    /// # Errors
-    ///
-    /// Any `io::Error` from opening the file.
-    pub fn open(io: &dyn Io, path: &Path, sync: bool) -> io::Result<Self> {
-        let file = io.open_append(path)?;
-        Ok(JournalSink {
-            sync,
-            inner: Mutex::new(SinkInner {
-                file: Some(file),
-                error: None,
-            }),
-        })
-    }
-
-    /// Appends one unframed record payload (framing and the newline
-    /// are added here). Returns `false` once the sink has latched an
-    /// error; [`JournalSink::error`] reports it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sink mutex was poisoned by a panicking thread.
-    pub fn append(&self, payload: &str) -> bool {
-        let mut inner = self.inner.lock().expect("journal sink lock");
-        if inner.error.is_some() {
-            return false;
-        }
-        let Some(file) = inner.file.as_mut() else {
-            return false;
-        };
-        let line = format!("{}\n", frame_record(payload));
-        let outcome = write_all_retrying(file.as_mut(), line.as_bytes()).and_then(|()| {
-            if self.sync {
-                file.sync()
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = outcome {
-            inner.error = Some(e.to_string());
-            inner.file = None;
-            return false;
-        }
-        true
-    }
-
-    /// The latched error, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sink mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn error(&self) -> Option<String> {
-        self.inner.lock().expect("journal sink lock").error.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +156,11 @@ mod tests {
     use redsim_util::io::RealIo;
     use redsim_workloads::Workload;
     use std::path::PathBuf;
+
+    /// The compacted journal text of `state`, as [`compact`] writes it.
+    fn render(state: &JournalState) -> String {
+        framed_log::render(&header_line(), state.payloads())
+    }
 
     fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("redsim-journal-{}-{tag}", std::process::id()));

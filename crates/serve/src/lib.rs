@@ -16,10 +16,10 @@
 //!   its parameters, the emulation budget and a store version standing
 //!   in for the assembler/emulator revision; identical requests never
 //!   re-assemble or re-emulate, in memory or across restarts.
-//! * [`journal`] — the durable job log, reusing the campaign's
-//!   CRC-framed manifest format (`{"crc":…,"rec":…}` frames). A torn
-//!   tail from a kill mid-append is discarded and its job re-runs;
-//!   interior damage is a typed refusal.
+//! * [`journal`] — the durable job log, a
+//!   [`redsim_util::framed_log`] (`{"crc":…,"rec":…}` frames) like the
+//!   campaign manifest. A torn tail from a kill mid-append is discarded
+//!   and its job re-runs; interior damage is a typed refusal.
 //! * [`engine`] — the work queue: submission, worker threads driving
 //!   [`redsim_campaign::supervisor::execute_shard`], result
 //!   memoization, and the metrics registry behind `/metrics`.

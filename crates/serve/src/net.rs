@@ -450,7 +450,7 @@ fn dispatch(engine: &Engine, line: &str) -> (Json, bool) {
         "ping" => Json::obj().field("ok", true).field("pong", true),
         "submit" => match j.get("spec").map(JobSpec::parse) {
             None => err_response("submit needs a \"spec\" object"),
-            Some(Err(e)) => err_response(&e),
+            Some(Err(e)) => err_response(&e.to_string()),
             Some(Ok(spec)) => match engine.submit(&spec) {
                 Ok((id, cached)) => Json::obj()
                     .field("ok", true)

@@ -167,62 +167,30 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first defect: missing or
-    /// unknown workload/mode, or a malformed optional field.
-    pub fn parse(j: &Json) -> Result<JobSpec, String> {
-        let workload = j
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or("spec is missing \"workload\"")?;
+    /// The first defect: missing or unknown workload/mode, or a
+    /// malformed optional field.
+    pub fn parse(j: &Json) -> Result<JobSpec, SpecError> {
+        let name = |key| {
+            j.get(key)
+                .and_then(Json::as_str)
+                .ok_or(SpecError::Missing(key))
+        };
+        let workload = name("workload")?;
         let workload = Workload::from_name(workload)
-            .ok_or_else(|| format!("unknown workload {workload:?}"))?;
-        let mode = j
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or("spec is missing \"mode\"")?;
-        let mode = mode_from_name(mode).ok_or_else(|| format!("unknown mode {mode:?}"))?;
-        let quick = match j.get("quick") {
-            None => true,
-            Some(q) => q.as_bool().ok_or("\"quick\" must be a bool")?,
-        };
-        let input_seed = match j.get("seed") {
-            None => None,
-            Some(s) => Some(s.as_u64().ok_or("\"seed\" must be an unsigned integer")?),
-        };
-        let watchdog = match j.get("watchdog") {
-            None => None,
-            Some(w) => Some(
-                w.as_u64()
-                    .ok_or("\"watchdog\" must be an unsigned integer")?,
-            ),
-        };
+            .ok_or_else(|| SpecError::UnknownWorkload(workload.to_owned()))?;
+        let mode = name("mode")?;
+        let mode = mode_from_name(mode).ok_or_else(|| SpecError::UnknownMode(mode.to_owned()))?;
+        let quick = optional(j, "quick", BOOL, Json::as_bool)?.unwrap_or(true);
+        let input_seed = optional(j, "seed", UNSIGNED, Json::as_u64)?;
+        let watchdog = optional(j, "watchdog", UNSIGNED, Json::as_u64)?;
         let faults = match j.get("faults") {
             None => None,
-            Some(f) => {
-                let rate = |key: &str| -> Result<f64, String> {
-                    match f.get(key) {
-                        None => Ok(0.0),
-                        Some(v) => v
-                            .as_f64()
-                            .ok_or_else(|| format!("\"faults\".\"{key}\" must be a number")),
-                    }
-                };
-                Some(FaultConfig {
-                    fu_rate: rate("fu")?,
-                    forward_rate: rate("bus")?,
-                    irb_rate: rate("irb")?,
-                    seed: match f.get("seed") {
-                        None => 0,
-                        Some(s) => s
-                            .as_u64()
-                            .ok_or("\"faults\".\"seed\" must be an unsigned integer")?,
-                    },
-                })
-            }
-        };
-        let attribution = match j.get("attribution") {
-            None => false,
-            Some(a) => a.as_bool().ok_or("\"attribution\" must be a bool")?,
+            Some(f) => Some(FaultConfig {
+                fu_rate: optional(f, "faults.fu", NUMBER, Json::as_f64)?.unwrap_or(0.0),
+                forward_rate: optional(f, "faults.bus", NUMBER, Json::as_f64)?.unwrap_or(0.0),
+                irb_rate: optional(f, "faults.irb", NUMBER, Json::as_f64)?.unwrap_or(0.0),
+                seed: optional(f, "faults.seed", UNSIGNED, Json::as_u64)?.unwrap_or(0),
+            }),
         };
         Ok(JobSpec {
             workload,
@@ -231,10 +199,61 @@ impl JobSpec {
             input_seed,
             watchdog,
             faults,
-            attribution,
+            attribution: optional(j, "attribution", BOOL, Json::as_bool)?.unwrap_or(false),
         })
     }
 }
+
+const BOOL: &str = "a bool";
+const NUMBER: &str = "a number";
+const UNSIGNED: &str = "an unsigned integer";
+
+/// Reads the optional field `path` (a key of `obj`, the last segment of
+/// a dotted path) through `conv`: absent is `None`, present must convert.
+fn optional<T>(
+    obj: &Json,
+    path: &'static str,
+    want: &'static str,
+    conv: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, SpecError> {
+    let key = path.rsplit_once('.').map_or(path, |(_, key)| key);
+    let wrong = SpecError::WrongType { field: path, want };
+    obj.get(key).map(|v| conv(v).ok_or(wrong)).transpose()
+}
+
+/// Why a JSON object is not a [`JobSpec`]. The `Display` text is the
+/// error a client gets back for a bad submission.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// A required field is absent.
+    Missing(&'static str),
+    /// The workload name is not one of the twelve.
+    UnknownWorkload(String),
+    /// The mode name is not one of [`mode_name`]'s spellings.
+    UnknownMode(String),
+    /// A field has the wrong JSON type.
+    WrongType {
+        /// The field, as a dotted path (`faults.seed`).
+        field: &'static str,
+        /// What it must be ("a bool", "an unsigned integer").
+        want: &'static str,
+    },
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::Missing(field) => write!(f, "spec is missing \"{field}\""),
+            SpecError::UnknownWorkload(w) => write!(f, "unknown workload {w:?}"),
+            SpecError::UnknownMode(m) => write!(f, "unknown mode {m:?}"),
+            SpecError::WrongType { field, want } => {
+                write!(f, "\"{}\" must be {want}", field.replace('.', "\".\""))
+            }
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 #[cfg(test)]
 mod tests {
@@ -320,6 +339,50 @@ mod tests {
         ] {
             let j = Json::parse(bad).expect("test input is JSON");
             assert!(JobSpec::parse(&j).is_err(), "{bad} must not parse");
+        }
+    }
+
+    #[test]
+    fn parse_errors_keep_their_wire_text() {
+        for (bad, text) in [
+            (r#"{"mode":"sie"}"#, r#"spec is missing "workload""#),
+            (r#"{"workload":"gzip"}"#, r#"spec is missing "mode""#),
+            (
+                r#"{"workload":"nope","mode":"sie"}"#,
+                r#"unknown workload "nope""#,
+            ),
+            (
+                r#"{"workload":"gzip","mode":"nope"}"#,
+                r#"unknown mode "nope""#,
+            ),
+            (
+                r#"{"workload":"gzip","mode":"sie","quick":3}"#,
+                r#""quick" must be a bool"#,
+            ),
+            (
+                r#"{"workload":"gzip","mode":"sie","seed":-1}"#,
+                r#""seed" must be an unsigned integer"#,
+            ),
+            (
+                r#"{"workload":"gzip","mode":"sie","watchdog":"x"}"#,
+                r#""watchdog" must be an unsigned integer"#,
+            ),
+            (
+                r#"{"workload":"gzip","mode":"sie","faults":{"bus":"x"}}"#,
+                r#""faults"."bus" must be a number"#,
+            ),
+            (
+                r#"{"workload":"gzip","mode":"sie","faults":{"seed":1.5}}"#,
+                r#""faults"."seed" must be an unsigned integer"#,
+            ),
+            (
+                r#"{"workload":"gzip","mode":"sie","attribution":1}"#,
+                r#""attribution" must be a bool"#,
+            ),
+        ] {
+            let j = Json::parse(bad).expect("test input is JSON");
+            let err = JobSpec::parse(&j).expect_err(bad);
+            assert_eq!(err.to_string(), text, "{bad}");
         }
     }
 }

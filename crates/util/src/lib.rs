@@ -22,11 +22,16 @@
 //!   campaign state flows through, with a deterministic fault-injecting
 //!   [`ChaosIo`] (EINTR, short/torn writes, ENOSPC, fsync failure,
 //!   kill-after-N-ops) for chaos testing the recovery paths.
+//! * [`framed_log`] — the crash-consistent record log both the campaign
+//!   manifest and the serve journal are: checksummed JSONL frames, a
+//!   reader that skips a torn last line and refuses earlier damage, an
+//!   atomic rewrite, and an error-latching appender.
 //!
 //! Everything in this crate is deterministic given its inputs; nothing
 //! except the explicit [`io`] backends touches the filesystem or the
 //! environment.
 
+pub mod framed_log;
 pub mod hash;
 pub mod io;
 pub mod json;
