@@ -22,7 +22,7 @@ use redsim_core::{
 };
 use redsim_irb::{IrbConfig, IrbEntry, ReuseBuffer};
 use redsim_mem::{Hierarchy, HierarchyConfig};
-use redsim_predictor::{Bimodal, DirectionPredictor};
+use redsim_predictor::Bimodal;
 use redsim_util::{bench, BenchResult, Json};
 use redsim_workloads::Workload;
 

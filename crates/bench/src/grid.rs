@@ -180,11 +180,29 @@ impl Figure {
     }
 }
 
+/// The shared flag a grid figure cannot honour, if `cli` sets one: a
+/// grid runs each declared job once, on default inputs, and reports no
+/// windowed series.
+fn unsupported_flag(cli: &Cli) -> Option<&'static str> {
+    if cli.seeds > 1 {
+        Some("--seeds")
+    } else if cli.metrics_window.is_some() {
+        Some("--metrics-window")
+    } else {
+        None
+    }
+}
+
 /// The whole of a grid figure binary: parse the shared command line,
 /// sweep `figure`'s runs over every workload, print the table and exit
-/// 1 if any job failed.
+/// 1 if any job failed. `--seeds` above 1 and `--metrics-window` are
+/// refused with exit 2.
 pub fn main(figure: Declaration) {
     let cli = Cli::parse();
+    if let Some(flag) = unsupported_flag(&cli) {
+        eprintln!("error: this figure does not support {flag}");
+        std::process::exit(2);
+    }
     let fig = figure();
     let mut h = Harness::from_cli(&cli);
     let (results, errors) = h.try_sweep(&fig.jobs(&Workload::ALL), cli.threads);
@@ -206,6 +224,17 @@ mod tests {
             let table = fig.table(&w, &results);
             assert_eq!(table.rows.len(), 2, "{name}: one workload row and the mean");
         }
+    }
+
+    #[test]
+    fn flags_a_grid_cannot_honour_are_named() {
+        let cli = |a: &[&str]| Cli::from_vec(a.iter().map(|s| (*s).to_owned()).collect());
+        assert_eq!(unsupported_flag(&cli(&["--quick", "--seeds", "1"])), None);
+        assert_eq!(unsupported_flag(&cli(&["--seeds", "3"])), Some("--seeds"));
+        assert_eq!(
+            unsupported_flag(&cli(&["--metrics-window", "100"])),
+            Some("--metrics-window")
+        );
     }
 
     #[test]

@@ -727,8 +727,8 @@ impl Harness {
     /// completion *order* is thread-schedule dependent, but each call's
     /// content is deterministic. On success the callback also receives
     /// the job's windowed-metrics series (empty unless the job set
-    /// [`Job::with_metrics_window`]). The campaign runner uses this to
-    /// checkpoint progress incrementally.
+    /// [`Job::with_metrics_window`]), so a caller can record or report
+    /// progress as each job finishes.
     ///
     /// A job whose *trace* cannot be materialized (workload assembly or
     /// emulation failure) is reported as a [`JobError`] like any other

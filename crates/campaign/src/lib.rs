@@ -4,10 +4,11 @@
 //!
 //! A fault-injection campaign runner built for interruption: it
 //! enumerates a deterministic list of *shards* (one simulation per
-//! `(scenario, workload, fault-seed)` cell), fans them across worker
-//! threads through the bench [`Harness`], and checkpoints every
-//! completed shard to an append-only JSONL *progress manifest* so a
-//! killed campaign resumes where it stopped.
+//! `(scenario, workload, fault-seed)` cell), fans them across its own
+//! pool of worker threads (the bench [`Harness`] only builds the
+//! traces), and checkpoints every completed shard to an append-only
+//! JSONL *progress manifest* so a killed campaign resumes where it
+//! stopped.
 //!
 //! Robustness properties, by construction rather than by testing luck:
 //!
@@ -18,7 +19,9 @@
 //! * **Per-shard isolation** — a shard that panics or returns a
 //!   simulation error is recorded as a structured failure
 //!   (`"ok":false`) and the remaining shards still run
-//!   ([`Harness::try_sweep_with`] wraps each job in `catch_unwind`).
+//!   ([`supervisor::execute_shard`] runs each attempt through
+//!   [`redsim_bench::run_job_isolated`], which wraps it in
+//!   `catch_unwind`).
 //! * **Livelock containment** — the spec's watchdog deadline bounds
 //!   every shard in simulated cycles; a tripped watchdog classifies the
 //!   shard's pending faults as `Hang` and completes normally.

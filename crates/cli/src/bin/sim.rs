@@ -32,17 +32,6 @@ use redsim_isa::trace::DynInst;
 use redsim_isa::Program;
 use redsim_workloads::{Params, Workload};
 
-fn mode_of(s: &str) -> Option<ExecMode> {
-    Some(match s {
-        "sie" => ExecMode::Sie,
-        "die" => ExecMode::Die,
-        "die-irb" => ExecMode::DieIrb,
-        "sie-irb" => ExecMode::SieIrb,
-        "die-cluster" => ExecMode::DieCluster,
-        _ => return None,
-    })
-}
-
 fn build_config(args: &Args) -> Result<MachineConfig, String> {
     let mut cfg = MachineConfig::paper_baseline();
     if args.has("--double-alus") {
@@ -168,7 +157,7 @@ fn main() {
     }
     let mode = match args.value_of("--mode") {
         None => ExecMode::Sie,
-        Some(m) => mode_of(m).unwrap_or_else(|| die(&format!("unknown mode `{m}`"))),
+        Some(m) => ExecMode::from_name(m).unwrap_or_else(|| die(&format!("unknown mode `{m}`"))),
     };
     let cfg = build_config(&args).unwrap_or_else(|e| die(&e));
     let budget = args

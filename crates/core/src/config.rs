@@ -41,6 +41,31 @@ impl ExecMode {
     pub fn has_irb(self) -> bool {
         matches!(self, ExecMode::DieIrb | ExecMode::SieIrb)
     }
+
+    /// The mode's wire spelling (`redsim-sim --mode`, `JobSpec` JSON).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecMode::Sie => "sie",
+            ExecMode::Die => "die",
+            ExecMode::DieIrb => "die-irb",
+            ExecMode::SieIrb => "sie-irb",
+            ExecMode::DieCluster => "die-cluster",
+        }
+    }
+
+    /// Parses a mode's wire spelling.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        Some(match name {
+            "sie" => ExecMode::Sie,
+            "die" => ExecMode::Die,
+            "die-irb" => ExecMode::DieIrb,
+            "sie-irb" => ExecMode::SieIrb,
+            "die-cluster" => ExecMode::DieCluster,
+            _ => return None,
+        })
+    }
 }
 
 /// Who wakes up the duplicate stream's waiting instructions (§3.3).
@@ -396,6 +421,20 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mode_names_round_trip() {
+        for mode in [
+            ExecMode::Sie,
+            ExecMode::Die,
+            ExecMode::DieIrb,
+            ExecMode::SieIrb,
+            ExecMode::DieCluster,
+        ] {
+            assert_eq!(ExecMode::from_name(mode.name()), Some(mode));
+        }
+        assert_eq!(ExecMode::from_name("warp-speed"), None);
+    }
 
     #[test]
     fn paper_baseline_matches_section_4_table() {

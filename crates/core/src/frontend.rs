@@ -2,7 +2,7 @@
 
 use redsim_isa::trace::DynInst;
 use redsim_isa::{IntReg, Opcode};
-use redsim_predictor::{build_direction, Btb, DirectionPredictor, ReturnAddressStack};
+use redsim_predictor::{Btb, Direction, ReturnAddressStack};
 
 use crate::config::MachineConfig;
 
@@ -56,7 +56,7 @@ pub struct FrontStats {
 
 /// The fetch-stage prediction machinery.
 pub struct FrontEnd {
-    dir: Box<dyn DirectionPredictor>,
+    dir: Direction,
     btb: Btb,
     ras: ReturnAddressStack,
     stats: FrontStats,
@@ -65,7 +65,6 @@ pub struct FrontEnd {
 impl std::fmt::Debug for FrontEnd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrontEnd")
-            .field("dir", &self.dir.name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -76,7 +75,7 @@ impl FrontEnd {
     #[must_use]
     pub fn new(config: &MachineConfig) -> Self {
         FrontEnd {
-            dir: build_direction(config.direction),
+            dir: Direction::new(config.direction),
             btb: Btb::new(config.btb),
             ras: ReturnAddressStack::new(config.ras_depth),
             stats: FrontStats::default(),

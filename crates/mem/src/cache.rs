@@ -1,17 +1,6 @@
-//! Generic set-associative cache model.
+//! Generic set-associative LRU cache model.
 
-/// Replacement policy for a cache set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Replacement {
-    /// Evict the least-recently-used way.
-    Lru,
-    /// Evict ways in fill order.
-    Fifo,
-    /// Evict a pseudo-random way (xorshift, deterministic per cache).
-    Random,
-}
-
-/// Geometry and policy of one cache.
+/// Geometry and timing of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -20,8 +9,6 @@ pub struct CacheConfig {
     pub line_bytes: u64,
     /// Associativity (ways per set).
     pub assoc: u64,
-    /// Replacement policy.
-    pub replacement: Replacement,
     /// Cycles for a hit in this cache.
     pub hit_latency: u64,
 }
@@ -108,22 +95,22 @@ struct Line {
     valid: bool,
     dirty: bool,
     tag: u64,
-    /// LRU stamp or FIFO fill order, depending on policy.
+    /// LRU stamp: the tick of the last access.
     order: u64,
 }
 
-/// A set-associative, write-back/write-allocate cache.
+/// A set-associative, write-back/write-allocate cache with LRU
+/// replacement.
 ///
 /// # Examples
 ///
 /// ```
-/// use redsim_mem::{Cache, CacheConfig, Replacement};
+/// use redsim_mem::{Cache, CacheConfig};
 ///
 /// let mut c = Cache::new(CacheConfig {
 ///     size_bytes: 1024,
 ///     line_bytes: 32,
 ///     assoc: 2,
-///     replacement: Replacement::Lru,
 ///     hit_latency: 1,
 /// });
 /// assert!(!c.access(0x40, false).hit);
@@ -135,7 +122,6 @@ pub struct Cache {
     lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
-    rng: redsim_util::SplitMix64,
     /// Geometry cached at construction — `set_index`/`tag` run on every
     /// access, and re-deriving (and re-validating) the set count there
     /// dominated the access cost.
@@ -161,7 +147,6 @@ impl Cache {
             lines: vec![Line::default(); total],
             stats: CacheStats::default(),
             tick: 0,
-            rng: redsim_util::SplitMix64::new(0x9e37_79b9_7f4a_7c15),
             set_mask: sets - 1,
             line_shift,
             tag_shift: line_shift + sets.trailing_zeros(),
@@ -188,12 +173,6 @@ impl Cache {
         addr >> self.tag_shift
     }
 
-    fn next_random(&mut self) -> u64 {
-        // Deterministic and seedless, so identical runs produce
-        // identical timing.
-        self.rng.next_u64()
-    }
-
     /// Performs one access, allocating on miss.
     ///
     /// `write` marks the line dirty (write-allocate, write-back).
@@ -213,9 +192,7 @@ impl Cache {
                 if write {
                     line.dirty = true;
                 }
-                if self.config.replacement == Replacement::Lru {
-                    line.order = self.tick;
-                }
+                line.order = self.tick;
                 return AccessOutcome {
                     hit: true,
                     writeback: false,
@@ -242,19 +219,16 @@ impl Cache {
         }
     }
 
-    fn choose_victim(&mut self, base: usize, assoc: usize) -> usize {
+    fn choose_victim(&self, base: usize, assoc: usize) -> usize {
         // Prefer an invalid way.
         for way in 0..assoc {
             if !self.lines[base + way].valid {
                 return way;
             }
         }
-        match self.config.replacement {
-            Replacement::Lru | Replacement::Fifo => (0..assoc)
-                .min_by_key(|&w| self.lines[base + w].order)
-                .expect("assoc >= 1"),
-            Replacement::Random => (self.next_random() % assoc as u64) as usize,
-        }
+        (0..assoc)
+            .min_by_key(|&w| self.lines[base + w].order)
+            .expect("assoc >= 1")
     }
 
     /// Probes for a line without updating any state (for tests/debug).
@@ -274,7 +248,6 @@ impl Cache {
         self.lines.fill(Line::default());
         self.stats = CacheStats::default();
         self.tick = 0;
-        self.rng = redsim_util::SplitMix64::new(0x9e37_79b9_7f4a_7c15);
     }
 }
 
@@ -282,19 +255,18 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn small(assoc: u64, replacement: Replacement) -> Cache {
+    fn small(assoc: u64) -> Cache {
         Cache::new(CacheConfig {
             size_bytes: 64 * assoc,
             line_bytes: 32,
             assoc,
-            replacement,
             hit_latency: 1,
         })
     }
 
     #[test]
     fn cold_miss_then_hit() {
-        let mut c = small(2, Replacement::Lru);
+        let mut c = small(2);
         assert!(!c.access(0x100, false).hit);
         assert!(c.access(0x100, false).hit);
         assert!(c.access(0x11f, false).hit, "same line");
@@ -306,7 +278,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         // 2 sets x 2 ways; lines mapping to set 0: 0x00, 0x40, 0x80...
-        let mut c = small(2, Replacement::Lru);
+        let mut c = small(2);
         c.access(0x00, false);
         c.access(0x40, false);
         c.access(0x00, false); // touch 0x00, making 0x40 the LRU
@@ -317,19 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_in_fill_order() {
-        let mut c = small(2, Replacement::Fifo);
-        c.access(0x00, false);
-        c.access(0x40, false);
-        c.access(0x00, false); // does not refresh FIFO order? it does not
-        c.access(0x80, false); // evicts 0x00 (oldest fill)
-        assert!(!c.contains(0x00));
-        assert!(c.contains(0x40));
-    }
-
-    #[test]
     fn writeback_on_dirty_eviction_only() {
-        let mut c = small(1, Replacement::Lru);
+        let mut c = small(1);
         c.access(0x00, true); // dirty fill
         let out = c.access(0x40, false); // evicts dirty 0x00
         assert!(out.writeback);
@@ -340,7 +301,7 @@ mod tests {
 
     #[test]
     fn write_hit_marks_dirty() {
-        let mut c = small(1, Replacement::Lru);
+        let mut c = small(1);
         c.access(0x00, false); // clean fill
         c.access(0x00, true); // dirty it
         let out = c.access(0x40, false);
@@ -348,19 +309,8 @@ mod tests {
     }
 
     #[test]
-    fn random_replacement_is_deterministic() {
-        let runs: Vec<Vec<bool>> = (0..2)
-            .map(|_| {
-                let mut c = small(2, Replacement::Random);
-                (0..64).map(|i| c.access(i * 0x40, false).hit).collect()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-    }
-
-    #[test]
     fn miss_rate_math() {
-        let mut c = small(2, Replacement::Lru);
+        let mut c = small(2);
         for _ in 0..3 {
             c.access(0x0, false);
         }
@@ -372,7 +322,7 @@ mod tests {
 
     #[test]
     fn reset_clears_contents_and_stats() {
-        let mut c = small(2, Replacement::Lru);
+        let mut c = small(2);
         c.access(0x0, true);
         c.reset();
         assert!(!c.contains(0x0));
@@ -386,7 +336,6 @@ mod tests {
             size_bytes: 96,
             line_bytes: 24,
             assoc: 1,
-            replacement: Replacement::Lru,
             hit_latency: 1,
         });
     }
@@ -397,7 +346,6 @@ mod tests {
             size_bytes: 32 * 8,
             line_bytes: 32,
             assoc: 8,
-            replacement: Replacement::Lru,
             hit_latency: 1,
         });
         for i in 0..8u64 {
@@ -418,7 +366,7 @@ mod generative {
     use redsim_util::Rng;
 
     /// Re-accessing an address immediately after it was accessed
-    /// always hits (no policy may evict the line it just touched).
+    /// always hits (LRU never evicts the line it just touched).
     #[test]
     fn immediate_reaccess_hits() {
         let mut rng = Rng::new(0xCA_0001);
@@ -428,7 +376,6 @@ mod generative {
                     size_bytes: 4096 * assoc,
                     line_bytes: 64,
                     assoc,
-                    replacement: Replacement::Lru,
                     hit_latency: 1,
                 });
                 for _ in 0..rng.range_u64(1, 200) {
@@ -452,7 +399,6 @@ mod generative {
                 size_bytes: 2048,
                 line_bytes: 32,
                 assoc: 2,
-                replacement: Replacement::Fifo,
                 hit_latency: 1,
             });
             for (a, w) in &ops {
@@ -474,7 +420,6 @@ mod generative {
                 size_bytes: 1024,
                 line_bytes: 32,
                 assoc: 2,
-                replacement: Replacement::Lru,
                 hit_latency: 1,
             });
             // Two lines in the same set (set count = 16).

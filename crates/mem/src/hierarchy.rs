@@ -1,6 +1,6 @@
 //! Two-level memory hierarchy: split L1s, unified L2, flat memory.
 
-use crate::cache::{Cache, CacheConfig, CacheStats, Replacement};
+use crate::cache::{Cache, CacheConfig, CacheStats};
 
 /// A level of the hierarchy, for stats queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,21 +37,18 @@ impl HierarchyConfig {
                 size_bytes: 32 * 1024,
                 line_bytes: 32,
                 assoc: 2,
-                replacement: Replacement::Lru,
                 hit_latency: 1,
             },
             l1d: CacheConfig {
                 size_bytes: 32 * 1024,
                 line_bytes: 32,
                 assoc: 4,
-                replacement: Replacement::Lru,
                 hit_latency: 2,
             },
             l2: CacheConfig {
                 size_bytes: 512 * 1024,
                 line_bytes: 64,
                 assoc: 8,
-                replacement: Replacement::Lru,
                 hit_latency: 12,
             },
             mem_latency: 100,
@@ -66,7 +63,6 @@ impl HierarchyConfig {
             size_bytes: 1024,
             line_bytes: 32,
             assoc: 2,
-            replacement: Replacement::Lru,
             hit_latency: 1,
         };
         HierarchyConfig {
@@ -79,7 +75,6 @@ impl HierarchyConfig {
                 size_bytes: 8 * 1024,
                 line_bytes: 64,
                 assoc: 4,
-                replacement: Replacement::Lru,
                 hit_latency: 8,
             },
             mem_latency: 50,

@@ -9,8 +9,7 @@
 //! L2, over a fixed-latency DRAM. This crate reproduces that structure:
 //!
 //! * [`Cache`] — a generic set-associative, write-back/write-allocate
-//!   cache with pluggable replacement ([`Replacement`]) and per-cache
-//!   [`CacheStats`].
+//!   cache with LRU replacement and per-cache [`CacheStats`].
 //! * [`Hierarchy`] — L1I + L1D + unified L2 + memory, returning an access
 //!   *latency* per reference. Timing is compositional: an L1 miss pays
 //!   the L1 latency plus the L2 access, and so on down to memory.
@@ -37,5 +36,5 @@
 mod cache;
 mod hierarchy;
 
-pub use cache::{AccessOutcome, Cache, CacheConfig, CacheStats, Replacement};
+pub use cache::{AccessOutcome, Cache, CacheConfig, CacheStats};
 pub use hierarchy::{Hierarchy, HierarchyConfig, Level};

@@ -2,19 +2,6 @@
 
 use crate::counter::Counter2;
 
-/// A conditional-branch direction predictor.
-///
-/// `predict` is a pure query; `update` trains on the resolved outcome.
-/// Timing models call `update` at branch resolution.
-pub trait DirectionPredictor: std::fmt::Debug + Send {
-    /// Predicts whether the branch at `pc` is taken.
-    fn predict(&self, pc: u64) -> bool;
-    /// Trains on a resolved outcome.
-    fn update(&mut self, pc: u64, taken: bool);
-    /// A short human-readable name for reports.
-    fn name(&self) -> &'static str;
-}
-
 fn index(pc: u64, entries: usize) -> usize {
     // Instruction addresses are 8-byte aligned; drop the low bits.
     ((pc >> 3) as usize) & (entries - 1)
@@ -25,34 +12,6 @@ fn assert_pow2(entries: usize) {
         entries.is_power_of_two() && entries > 0,
         "predictor table size {entries} must be a power of two"
     );
-}
-
-/// Static predict-taken (backward-taken-like upper bound for loops).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysTaken;
-
-impl DirectionPredictor for AlwaysTaken {
-    fn predict(&self, _pc: u64) -> bool {
-        true
-    }
-    fn update(&mut self, _pc: u64, _taken: bool) {}
-    fn name(&self) -> &'static str {
-        "always-taken"
-    }
-}
-
-/// Static predict-not-taken.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NeverTaken;
-
-impl DirectionPredictor for NeverTaken {
-    fn predict(&self, _pc: u64) -> bool {
-        false
-    }
-    fn update(&mut self, _pc: u64, _taken: bool) {}
-    fn name(&self) -> &'static str {
-        "never-taken"
-    }
 }
 
 /// Bimodal predictor: a PC-indexed table of two-bit counters.
@@ -74,26 +33,23 @@ impl Bimodal {
             table: vec![Counter2::default(); entries],
         }
     }
-}
 
-impl DirectionPredictor for Bimodal {
-    fn predict(&self, pc: u64) -> bool {
+    /// Predicts whether the branch at `pc` is taken.
+    #[must_use]
+    pub fn predict(&self, pc: u64) -> bool {
         self.table[index(pc, self.table.len())].predict()
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
+    /// Trains on a resolved outcome.
+    pub fn update(&mut self, pc: u64, taken: bool) {
         let i = index(pc, self.table.len());
         self.table[i].train(taken);
-    }
-
-    fn name(&self) -> &'static str {
-        "bimodal"
     }
 }
 
 /// Gshare: global history XOR PC indexes a counter table.
 #[derive(Debug, Clone)]
-pub struct Gshare {
+pub(crate) struct Gshare {
     table: Vec<Counter2>,
     history: u64,
     hist_bits: u32,
@@ -107,7 +63,7 @@ impl Gshare {
     /// Panics unless `entries` is a power of two and
     /// `hist_bits <= log2(entries)`.
     #[must_use]
-    pub fn new(entries: usize, hist_bits: u32) -> Self {
+    pub(crate) fn new(entries: usize, hist_bits: u32) -> Self {
         assert_pow2(entries);
         assert!(
             hist_bits <= entries.trailing_zeros(),
@@ -124,76 +80,15 @@ impl Gshare {
         let h = self.history & ((1 << self.hist_bits) - 1);
         (((pc >> 3) ^ h) as usize) & (self.table.len() - 1)
     }
-}
 
-impl DirectionPredictor for Gshare {
-    fn predict(&self, pc: u64) -> bool {
+    pub(crate) fn predict(&self, pc: u64) -> bool {
         self.table[self.idx(pc)].predict()
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
+    pub(crate) fn update(&mut self, pc: u64, taken: bool) {
         let i = self.idx(pc);
         self.table[i].train(taken);
         self.history = self.history << 1 | u64::from(taken);
-    }
-
-    fn name(&self) -> &'static str {
-        "gshare"
-    }
-}
-
-/// Two-level local predictor: per-branch history selects a pattern
-/// counter (the Alpha 21264's local component).
-#[derive(Debug, Clone)]
-pub struct TwoLevelLocal {
-    histories: Vec<u64>,
-    pattern: Vec<Counter2>,
-    hist_bits: u32,
-}
-
-impl TwoLevelLocal {
-    /// Creates a two-level local predictor with `hist_entries` local
-    /// history registers of `hist_bits` bits and `2^hist_bits` pattern
-    /// counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `hist_entries` is a power of two and
-    /// `hist_bits <= 20`.
-    #[must_use]
-    pub fn new(hist_entries: usize, hist_bits: u32) -> Self {
-        assert_pow2(hist_entries);
-        assert!(
-            hist_bits <= 20,
-            "local history of {hist_bits} bits is unreasonable"
-        );
-        TwoLevelLocal {
-            histories: vec![0; hist_entries],
-            pattern: vec![Counter2::default(); 1 << hist_bits],
-            hist_bits,
-        }
-    }
-
-    fn pattern_idx(&self, pc: u64) -> usize {
-        let h = self.histories[index(pc, self.histories.len())];
-        (h & ((1 << self.hist_bits) - 1)) as usize
-    }
-}
-
-impl DirectionPredictor for TwoLevelLocal {
-    fn predict(&self, pc: u64) -> bool {
-        self.pattern[self.pattern_idx(pc)].predict()
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let pi = self.pattern_idx(pc);
-        self.pattern[pi].train(taken);
-        let hi = index(pc, self.histories.len());
-        self.histories[hi] = self.histories[hi] << 1 | u64::from(taken);
-    }
-
-    fn name(&self) -> &'static str {
-        "two-level-local"
     }
 }
 
@@ -222,10 +117,10 @@ impl Tournament {
             gshare: Gshare::new(entries, hist_bits),
         }
     }
-}
 
-impl DirectionPredictor for Tournament {
-    fn predict(&self, pc: u64) -> bool {
+    /// Predicts whether the branch at `pc` is taken.
+    #[must_use]
+    pub fn predict(&self, pc: u64) -> bool {
         // Chooser state >= 2 selects gshare.
         if self.chooser[index(pc, self.chooser.len())].predict() {
             self.gshare.predict(pc)
@@ -234,7 +129,8 @@ impl DirectionPredictor for Tournament {
         }
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
+    /// Trains on a resolved outcome.
+    pub fn update(&mut self, pc: u64, taken: bool) {
         let b = self.bimodal.predict(pc);
         let g = self.gshare.predict(pc);
         if b != g {
@@ -245,37 +141,15 @@ impl DirectionPredictor for Tournament {
         self.bimodal.update(pc, taken);
         self.gshare.update(pc, taken);
     }
-
-    fn name(&self) -> &'static str {
-        "tournament"
-    }
 }
 
 /// Declarative direction-predictor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirectionConfig {
-    /// Static taken.
-    AlwaysTaken,
-    /// Static not-taken.
-    NeverTaken,
     /// Bimodal with the given table size.
     Bimodal {
         /// Counter-table entries (power of two).
         entries: usize,
-    },
-    /// Gshare with the given table size and history length.
-    Gshare {
-        /// Counter-table entries (power of two).
-        entries: usize,
-        /// Global history bits.
-        hist_bits: u32,
-    },
-    /// Two-level local predictor.
-    TwoLevelLocal {
-        /// Local-history registers (power of two).
-        hist_entries: usize,
-        /// Local history bits (pattern table is `2^hist_bits`).
-        hist_bits: u32,
     },
     /// Tournament of bimodal + gshare with a chooser.
     Tournament {
@@ -298,29 +172,55 @@ impl DirectionConfig {
     }
 }
 
-/// Instantiates a predictor from its configuration.
+/// The direction predictor a [`DirectionConfig`] describes.
+///
+/// `predict` is a pure query; `update` trains on the resolved outcome.
+/// Timing models call `update` at branch resolution.
 ///
 /// # Examples
 ///
 /// ```
-/// use redsim_predictor::{build_direction, DirectionConfig};
+/// use redsim_predictor::{Direction, DirectionConfig};
 ///
-/// let p = build_direction(DirectionConfig::Bimodal { entries: 256 });
-/// assert_eq!(p.name(), "bimodal");
+/// let mut p = Direction::new(DirectionConfig::paper_baseline());
+/// p.update(0x1000, true);
+/// p.update(0x1000, true);
+/// assert!(p.predict(0x1000));
 /// ```
-#[must_use]
-pub fn build_direction(config: DirectionConfig) -> Box<dyn DirectionPredictor> {
-    match config {
-        DirectionConfig::AlwaysTaken => Box::new(AlwaysTaken),
-        DirectionConfig::NeverTaken => Box::new(NeverTaken),
-        DirectionConfig::Bimodal { entries } => Box::new(Bimodal::new(entries)),
-        DirectionConfig::Gshare { entries, hist_bits } => Box::new(Gshare::new(entries, hist_bits)),
-        DirectionConfig::TwoLevelLocal {
-            hist_entries,
-            hist_bits,
-        } => Box::new(TwoLevelLocal::new(hist_entries, hist_bits)),
-        DirectionConfig::Tournament { entries, hist_bits } => {
-            Box::new(Tournament::new(entries, hist_bits))
+#[derive(Debug)]
+pub enum Direction {
+    /// See [`Bimodal`].
+    Bimodal(Bimodal),
+    /// See [`Tournament`].
+    Tournament(Tournament),
+}
+
+impl Direction {
+    /// Instantiates the predictor `config` describes.
+    #[must_use]
+    pub fn new(config: DirectionConfig) -> Self {
+        match config {
+            DirectionConfig::Bimodal { entries } => Direction::Bimodal(Bimodal::new(entries)),
+            DirectionConfig::Tournament { entries, hist_bits } => {
+                Direction::Tournament(Tournament::new(entries, hist_bits))
+            }
+        }
+    }
+
+    /// Predicts whether the branch at `pc` is taken.
+    #[must_use]
+    pub fn predict(&self, pc: u64) -> bool {
+        match self {
+            Direction::Bimodal(p) => p.predict(pc),
+            Direction::Tournament(p) => p.predict(pc),
+        }
+    }
+
+    /// Trains on a resolved outcome.
+    pub fn update(&mut self, pc: u64, taken: bool) {
+        match self {
+            Direction::Bimodal(p) => p.update(pc, taken),
+            Direction::Tournament(p) => p.update(pc, taken),
         }
     }
 }
@@ -329,13 +229,18 @@ pub fn build_direction(config: DirectionConfig) -> Box<dyn DirectionPredictor> {
 mod tests {
     use super::*;
 
-    fn accuracy(p: &mut dyn DirectionPredictor, stream: &[(u64, bool)]) -> f64 {
+    fn accuracy<P>(
+        p: &mut P,
+        predict: fn(&P, u64) -> bool,
+        update: fn(&mut P, u64, bool),
+        stream: &[(u64, bool)],
+    ) -> f64 {
         let mut right = 0usize;
         for &(pc, taken) in stream {
-            if p.predict(pc) == taken {
+            if predict(p, pc) == taken {
                 right += 1;
             }
-            p.update(pc, taken);
+            update(p, pc, taken);
         }
         right as f64 / stream.len() as f64
     }
@@ -367,7 +272,12 @@ mod tests {
     #[test]
     fn bimodal_learns_biased_branches() {
         let mut p = Bimodal::new(256);
-        let acc = accuracy(&mut p, &loop_stream(0x1000, 16, 100));
+        let acc = accuracy(
+            &mut p,
+            Bimodal::predict,
+            Bimodal::update,
+            &loop_stream(0x1000, 16, 100),
+        );
         assert!(acc > 0.9, "bimodal on a 16-trip loop: {acc}");
     }
 
@@ -376,8 +286,8 @@ mod tests {
         let stream = correlated_stream(500);
         let mut bim = Bimodal::new(1024);
         let mut gsh = Gshare::new(1024, 8);
-        let acc_b = accuracy(&mut bim, &stream);
-        let acc_g = accuracy(&mut gsh, &stream);
+        let acc_b = accuracy(&mut bim, Bimodal::predict, Bimodal::update, &stream);
+        let acc_g = accuracy(&mut gsh, Gshare::predict, Gshare::update, &stream);
         assert!(
             acc_g > acc_b + 0.2,
             "gshare {acc_g} should beat bimodal {acc_b} by a wide margin"
@@ -386,61 +296,26 @@ mod tests {
     }
 
     #[test]
-    fn local_predictor_learns_short_periodic_patterns() {
-        // Period-4 pattern T T T N.
-        let mut stream = Vec::new();
-        for i in 0..2000usize {
-            stream.push((0x3000u64, i % 4 != 3));
-        }
-        let mut local = TwoLevelLocal::new(256, 10);
-        let acc = accuracy(&mut local, &stream);
-        assert!(acc > 0.95, "local on period-4 pattern: {acc}");
-    }
-
-    #[test]
     fn tournament_tracks_the_better_component() {
         let stream = correlated_stream(500);
         let mut t = Tournament::new(1024, 8);
-        let acc = accuracy(&mut t, &stream);
+        let acc = accuracy(&mut t, Tournament::predict, Tournament::update, &stream);
         assert!(acc > 0.85, "tournament on correlated stream: {acc}");
     }
 
     #[test]
-    fn statics_do_what_they_say() {
-        assert!(AlwaysTaken.predict(0));
-        assert!(!NeverTaken.predict(0));
-    }
-
-    #[test]
-    fn build_direction_constructs_each_variant() {
-        for (cfg, name) in [
-            (DirectionConfig::AlwaysTaken, "always-taken"),
-            (DirectionConfig::NeverTaken, "never-taken"),
-            (DirectionConfig::Bimodal { entries: 64 }, "bimodal"),
-            (
-                DirectionConfig::Gshare {
-                    entries: 64,
-                    hist_bits: 4,
-                },
-                "gshare",
-            ),
-            (
-                DirectionConfig::TwoLevelLocal {
-                    hist_entries: 64,
-                    hist_bits: 6,
-                },
-                "two-level-local",
-            ),
-            (
-                DirectionConfig::Tournament {
-                    entries: 64,
-                    hist_bits: 4,
-                },
-                "tournament",
-            ),
-        ] {
-            assert_eq!(build_direction(cfg).name(), name);
-        }
+    fn new_constructs_each_variant() {
+        assert!(matches!(
+            Direction::new(DirectionConfig::Bimodal { entries: 64 }),
+            Direction::Bimodal(_)
+        ));
+        assert!(matches!(
+            Direction::new(DirectionConfig::Tournament {
+                entries: 64,
+                hist_bits: 4,
+            }),
+            Direction::Tournament(_)
+        ));
     }
 
     #[test]
@@ -471,18 +346,8 @@ mod generative {
     use super::*;
     use redsim_util::Rng;
 
-    const CONFIGS: [DirectionConfig; 6] = [
-        DirectionConfig::AlwaysTaken,
-        DirectionConfig::NeverTaken,
+    const CONFIGS: [DirectionConfig; 2] = [
         DirectionConfig::Bimodal { entries: 64 },
-        DirectionConfig::Gshare {
-            entries: 64,
-            hist_bits: 5,
-        },
-        DirectionConfig::TwoLevelLocal {
-            hist_entries: 32,
-            hist_bits: 6,
-        },
         DirectionConfig::Tournament {
             entries: 64,
             hist_bits: 5,
@@ -500,7 +365,7 @@ mod generative {
                     .map(|_| (rng.below(1 << 16) & !7, rng.flip()))
                     .collect();
                 let run = || {
-                    let mut p = build_direction(cfg);
+                    let mut p = Direction::new(cfg);
                     stream
                         .iter()
                         .map(|&(pc, t)| {
@@ -524,15 +389,11 @@ mod generative {
             for taken in [false, true] {
                 for _ in 0..8 {
                     let pc = rng.below(1 << 12) << 3;
-                    let mut p = build_direction(cfg);
+                    let mut p = Direction::new(cfg);
                     for _ in 0..8 {
                         p.update(pc, taken);
                     }
-                    match cfg {
-                        DirectionConfig::AlwaysTaken => assert!(p.predict(pc)),
-                        DirectionConfig::NeverTaken => assert!(!p.predict(pc)),
-                        _ => assert_eq!(p.predict(pc), taken, "{cfg:?} pc={pc:#x}"),
-                    }
+                    assert_eq!(p.predict(pc), taken, "{cfg:?} pc={pc:#x}");
                 }
             }
         }

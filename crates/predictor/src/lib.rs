@@ -2,9 +2,9 @@
 
 //! # redsim-predictor
 //!
-//! Branch-prediction structures for the redsim front end: direction
-//! predictors (bimodal, gshare, two-level local, tournament), a branch
-//! target buffer, and a return-address stack.
+//! Branch-prediction structures for the redsim front end: a direction
+//! predictor (bimodal, or the paper's bimodal + gshare tournament), a
+//! branch target buffer, and a return-address stack.
 //!
 //! The components are deliberately independent — the out-of-order core
 //! composes them per the configured front end. All state updates are
@@ -14,7 +14,7 @@
 //! # Examples
 //!
 //! ```
-//! use redsim_predictor::{Bimodal, DirectionPredictor};
+//! use redsim_predictor::Bimodal;
 //!
 //! let mut p = Bimodal::new(1024);
 //! let pc = 0x1000;
@@ -31,8 +31,5 @@ mod ras;
 
 pub use btb::{Btb, BtbConfig};
 pub use counter::Counter2;
-pub use direction::{
-    build_direction, AlwaysTaken, Bimodal, DirectionConfig, DirectionPredictor, Gshare, NeverTaken,
-    Tournament, TwoLevelLocal,
-};
+pub use direction::{Bimodal, Direction, DirectionConfig, Tournament};
 pub use ras::ReturnAddressStack;

@@ -18,32 +18,6 @@ use redsim_workloads::{Params, Workload};
 /// is materialized — the same ceiling the bench harness uses.
 pub const DEFAULT_TRACE_BUDGET: u64 = 200_000_000;
 
-/// The wire spelling of an execution mode (matches `redsim-sim
-/// --mode`).
-#[must_use]
-pub fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Sie => "sie",
-        ExecMode::Die => "die",
-        ExecMode::DieIrb => "die-irb",
-        ExecMode::SieIrb => "sie-irb",
-        ExecMode::DieCluster => "die-cluster",
-    }
-}
-
-/// Parses the wire spelling of an execution mode.
-#[must_use]
-pub fn mode_from_name(s: &str) -> Option<ExecMode> {
-    Some(match s {
-        "sie" => ExecMode::Sie,
-        "die" => ExecMode::Die,
-        "die-irb" => ExecMode::DieIrb,
-        "sie-irb" => ExecMode::SieIrb,
-        "die-cluster" => ExecMode::DieCluster,
-        _ => return None,
-    })
-}
-
 /// A complete, deterministic description of one simulation job.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -104,7 +78,7 @@ impl JobSpec {
     pub fn canonical(&self) -> String {
         let mut j = Json::obj()
             .field("workload", self.workload.name())
-            .field("mode", mode_name(self.mode))
+            .field("mode", self.mode.name())
             .field("quick", self.quick);
         if let Some(seed) = self.input_seed {
             j = j.field("seed", seed);
@@ -179,7 +153,8 @@ impl JobSpec {
         let workload = Workload::from_name(workload)
             .ok_or_else(|| SpecError::UnknownWorkload(workload.to_owned()))?;
         let mode = name("mode")?;
-        let mode = mode_from_name(mode).ok_or_else(|| SpecError::UnknownMode(mode.to_owned()))?;
+        let mode =
+            ExecMode::from_name(mode).ok_or_else(|| SpecError::UnknownMode(mode.to_owned()))?;
         let quick = optional(j, "quick", BOOL, Json::as_bool)?.unwrap_or(true);
         let input_seed = optional(j, "seed", UNSIGNED, Json::as_u64)?;
         let watchdog = optional(j, "watchdog", UNSIGNED, Json::as_u64)?;
@@ -229,7 +204,7 @@ pub enum SpecError {
     Missing(&'static str),
     /// The workload name is not one of the twelve.
     UnknownWorkload(String),
-    /// The mode name is not one of [`mode_name`]'s spellings.
+    /// The mode name is not one of [`ExecMode::name`]'s spellings.
     UnknownMode(String),
     /// A field has the wrong JSON type.
     WrongType {
@@ -310,20 +285,6 @@ mod tests {
         let mut on = spec.clone();
         on.attribution = true;
         assert!(on.canonical().contains("\"attribution\":true"));
-    }
-
-    #[test]
-    fn mode_names_round_trip() {
-        for mode in [
-            ExecMode::Sie,
-            ExecMode::Die,
-            ExecMode::DieIrb,
-            ExecMode::SieIrb,
-            ExecMode::DieCluster,
-        ] {
-            assert_eq!(mode_from_name(mode_name(mode)), Some(mode));
-        }
-        assert_eq!(mode_from_name("warp-speed"), None);
     }
 
     #[test]

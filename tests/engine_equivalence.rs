@@ -6,131 +6,18 @@
 //! *bit-identical* [`SimStats`] to the scan engine on every program, in
 //! every execution mode, at every window size, with and without fault
 //! injection. These tests draw random programs from a fixed-seed
-//! [`redsim_util::Rng`] (same generator shape as `random_programs.rs`:
-//! straight-line code with forward-only branches, so everything
-//! terminates) and diff the two engines' complete statistics structs.
+//! [`redsim_util::Rng`] (the mixed flavour of the shared generator in
+//! `programs/mod.rs`: straight-line code with forward-only branches, so
+//! everything terminates) and diff the two engines' complete statistics
+//! structs.
 //!
 //! A failing case replays exactly under `cargo test`.
 
 use redsim::core::{ExecMode, FaultConfig, MachineConfig, SchedEngine, SimStats, Simulator};
-use redsim::isa::{Inst, IntReg, Opcode, Program, ProgramBuilder};
+use redsim::isa::Program;
 use redsim_util::Rng;
 
-#[derive(Debug, Clone)]
-enum Gen {
-    AluRrr(u8, u8, u8, u8),
-    AluRri(u8, u8, u8, i16),
-    Li(u8, i32),
-    MulDiv(u8, u8, u8, u8),
-    Fp(u8, u8, u8, u8),
-    Load(u8, u16),
-    Store(u8, u16),
-    /// Forward branch skipping 1..=skip instructions.
-    Branch(u8, u8, u8, u8),
-}
-
-const RRR_OPS: [Opcode; 8] = [
-    Opcode::Add,
-    Opcode::Sub,
-    Opcode::And,
-    Opcode::Or,
-    Opcode::Xor,
-    Opcode::Sll,
-    Opcode::Slt,
-    Opcode::Sltu,
-];
-const RRI_OPS: [Opcode; 5] = [
-    Opcode::Addi,
-    Opcode::Andi,
-    Opcode::Ori,
-    Opcode::Xori,
-    Opcode::Slti,
-];
-const MD_OPS: [Opcode; 4] = [Opcode::Mul, Opcode::Mulh, Opcode::Div, Opcode::Rem];
-const FP_OPS: [Opcode; 4] = [Opcode::FaddD, Opcode::FsubD, Opcode::FmulD, Opcode::FminD];
-const BR_OPS: [Opcode; 4] = [Opcode::Beq, Opcode::Bne, Opcode::Blt, Opcode::Bgeu];
-
-/// Work registers: avoid zero/ra/sp so the harness scaffolding stays
-/// intact.
-fn reg(sel: u8) -> IntReg {
-    IntReg::new(5 + sel % 20)
-}
-
-fn gen_step(rng: &mut Rng) -> Gen {
-    match rng.index(8) {
-        0 => Gen::AluRrr(rng.any_u8(), rng.any_u8(), rng.any_u8(), rng.any_u8()),
-        1 => Gen::AluRri(rng.any_u8(), rng.any_u8(), rng.any_u8(), rng.any_i16()),
-        2 => Gen::Li(rng.any_u8(), rng.any_i32()),
-        3 => Gen::MulDiv(rng.any_u8(), rng.any_u8(), rng.any_u8(), rng.any_u8()),
-        4 => Gen::Fp(rng.any_u8(), rng.any_u8(), rng.any_u8(), rng.any_u8()),
-        5 => Gen::Load(rng.any_u8(), rng.next_u64() as u16),
-        6 => Gen::Store(rng.any_u8(), rng.next_u64() as u16),
-        _ => Gen::Branch(
-            rng.any_u8(),
-            rng.any_u8(),
-            rng.any_u8(),
-            rng.range_u64(1, 12) as u8,
-        ),
-    }
-}
-
-/// Generates and lowers one random program of `lo..hi` abstract steps.
-fn gen_program(rng: &mut Rng, lo: u64, hi: u64) -> Program {
-    let steps: Vec<Gen> = (0..rng.range_u64(lo, hi)).map(|_| gen_step(rng)).collect();
-    let mut b = ProgramBuilder::new();
-    let buf = b.data_space(2048);
-    let base = IntReg::new(28); // t3 holds the data buffer
-    b = b.inst(Inst::li(base, buf as i32));
-    for i in 0..8u8 {
-        b = b.inst(Inst::li(reg(i), i32::from(i) * 77 - 100));
-        b = b.inst(Inst::cvt_int_to_fp(redsim::isa::FpReg::new(1 + i), reg(i)));
-    }
-    for (idx, g) in steps.iter().enumerate() {
-        let inst = match g {
-            Gen::AluRrr(o, a, x, y) => Inst::rrr(
-                RRR_OPS[*o as usize % RRR_OPS.len()],
-                reg(*a),
-                reg(*x),
-                reg(*y),
-            ),
-            Gen::AluRri(o, a, x, i) => Inst::rri(
-                RRI_OPS[*o as usize % RRI_OPS.len()],
-                reg(*a),
-                reg(*x),
-                i32::from(*i),
-            ),
-            Gen::Li(a, i) => Inst::li(reg(*a), *i),
-            Gen::MulDiv(o, a, x, y) => Inst::rrr(
-                MD_OPS[*o as usize % MD_OPS.len()],
-                reg(*a),
-                reg(*x),
-                reg(*y),
-            ),
-            Gen::Fp(o, a, x, y) => {
-                let f = |s: u8| redsim::isa::FpReg::new(1 + s % 8);
-                Inst::fff(FP_OPS[*o as usize % FP_OPS.len()], f(*a), f(*x), f(*y))
-            }
-            Gen::Load(a, off) => {
-                Inst::load_int(Opcode::Ld, reg(*a), base, i32::from(off % 2048 / 8 * 8))
-            }
-            Gen::Store(a, off) => {
-                Inst::store_int(Opcode::Sd, reg(*a), base, i32::from(off % 2048 / 8 * 8))
-            }
-            Gen::Branch(o, a, x, skip) => {
-                let remaining = steps.len() - idx - 1;
-                let skip = (*skip as usize).min(remaining) as i32;
-                Inst::branch(
-                    BR_OPS[*o as usize % BR_OPS.len()],
-                    reg(*a),
-                    reg(*x),
-                    (skip + 1) * 8,
-                )
-            }
-        };
-        b = b.inst(inst);
-    }
-    b.inst(Inst::halt()).build()
-}
+mod programs;
 
 /// Runs `program` under both engines with otherwise-identical
 /// configuration and returns the two stats structs.
@@ -170,7 +57,7 @@ fn engines_agree_on_any_program_in_every_mode() {
     let mut rng = Rng::new(0xE0E_0001);
     let cfg = MachineConfig::tiny();
     for case in 0..16u64 {
-        let program = gen_program(&mut rng, 5, 120);
+        let program = programs::MIXED.program(&mut rng, 5, 120);
         for mode in ALL_MODES {
             let (ev, sc) = both_engines(&program, &cfg, mode, FaultConfig::none());
             assert_eq!(ev, sc, "case {case} {mode:?}");
@@ -188,7 +75,7 @@ fn engines_agree_at_paper_scale_windows() {
     let base = MachineConfig::paper_baseline();
     let big = MachineConfig::paper_baseline().with_double_ruu();
     for case in 0..4u64 {
-        let program = gen_program(&mut rng, 40, 160);
+        let program = programs::MIXED.program(&mut rng, 40, 160);
         for (name, cfg) in [("paper", &base), ("2xruu", &big)] {
             for mode in [ExecMode::Sie, ExecMode::Die, ExecMode::DieIrb] {
                 let (ev, sc) = both_engines(&program, cfg, mode, FaultConfig::none());
@@ -212,7 +99,7 @@ fn engines_agree_under_fault_injection() {
         seed: 0xFA17,
     };
     for case in 0..8u64 {
-        let program = gen_program(&mut rng, 20, 120);
+        let program = programs::MIXED.program(&mut rng, 20, 120);
         for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
             let (ev, sc) = both_engines(&program, &cfg, mode, faults);
             assert_eq!(ev, sc, "case {case} {mode:?}");
@@ -237,7 +124,7 @@ fn fault_lifecycle_is_conserved_and_identical_in_every_mode() {
         seed: 0xFA18,
     };
     for case in 0..8u64 {
-        let program = gen_program(&mut rng, 20, 120);
+        let program = programs::MIXED.program(&mut rng, 20, 120);
         for mode in ALL_MODES {
             let (ev, sc) = both_engines(&program, &cfg, mode, faults);
             assert_eq!(ev, sc, "case {case} {mode:?}");

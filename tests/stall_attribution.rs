@@ -5,112 +5,19 @@
 //! run short. The observability layer itself must be pure: tracing a
 //! run cannot change its statistics.
 //!
-//! Program generation mirrors `engine_equivalence.rs` (straight-line
-//! code with forward-only branches from a fixed-seed generator, so
-//! everything terminates and failing cases replay exactly).
+//! Programs come from the integer flavour of the shared generator in
+//! `programs/mod.rs` (straight-line code with forward-only branches
+//! from a fixed-seed generator, so everything terminates and failing
+//! cases replay exactly).
 
 use redsim::core::{
     EventLog, ExecMode, FaultConfig, MachineConfig, SchedEngine, SimStats, Simulator, TraceEvent,
     Tracer,
 };
-use redsim::isa::{Inst, IntReg, Opcode, Program, ProgramBuilder};
+use redsim::isa::Program;
 use redsim_util::Rng;
 
-#[derive(Debug, Clone)]
-enum Gen {
-    AluRrr(u8, u8, u8, u8),
-    AluRri(u8, u8, u8, i16),
-    Li(u8, i32),
-    MulDiv(u8, u8, u8, u8),
-    Load(u8, u16),
-    Store(u8, u16),
-    Branch(u8, u8, u8, u8),
-}
-
-const RRR_OPS: [Opcode; 6] = [
-    Opcode::Add,
-    Opcode::Sub,
-    Opcode::And,
-    Opcode::Or,
-    Opcode::Xor,
-    Opcode::Slt,
-];
-const RRI_OPS: [Opcode; 4] = [Opcode::Addi, Opcode::Andi, Opcode::Ori, Opcode::Xori];
-const MD_OPS: [Opcode; 4] = [Opcode::Mul, Opcode::Mulh, Opcode::Div, Opcode::Rem];
-const BR_OPS: [Opcode; 4] = [Opcode::Beq, Opcode::Bne, Opcode::Blt, Opcode::Bgeu];
-
-fn reg(sel: u8) -> IntReg {
-    IntReg::new(5 + sel % 20)
-}
-
-fn gen_step(rng: &mut Rng) -> Gen {
-    match rng.index(7) {
-        0 => Gen::AluRrr(rng.any_u8(), rng.any_u8(), rng.any_u8(), rng.any_u8()),
-        1 => Gen::AluRri(rng.any_u8(), rng.any_u8(), rng.any_u8(), rng.any_i16()),
-        2 => Gen::Li(rng.any_u8(), rng.any_i32()),
-        3 => Gen::MulDiv(rng.any_u8(), rng.any_u8(), rng.any_u8(), rng.any_u8()),
-        4 => Gen::Load(rng.any_u8(), rng.next_u64() as u16),
-        5 => Gen::Store(rng.any_u8(), rng.next_u64() as u16),
-        _ => Gen::Branch(
-            rng.any_u8(),
-            rng.any_u8(),
-            rng.any_u8(),
-            rng.range_u64(1, 12) as u8,
-        ),
-    }
-}
-
-fn gen_program(rng: &mut Rng, lo: u64, hi: u64) -> Program {
-    let steps: Vec<Gen> = (0..rng.range_u64(lo, hi)).map(|_| gen_step(rng)).collect();
-    let mut b = ProgramBuilder::new();
-    let buf = b.data_space(2048);
-    let base = IntReg::new(28);
-    b = b.inst(Inst::li(base, buf as i32));
-    for i in 0..8u8 {
-        b = b.inst(Inst::li(reg(i), i32::from(i) * 77 - 100));
-    }
-    for (idx, g) in steps.iter().enumerate() {
-        let inst = match g {
-            Gen::AluRrr(o, a, x, y) => Inst::rrr(
-                RRR_OPS[*o as usize % RRR_OPS.len()],
-                reg(*a),
-                reg(*x),
-                reg(*y),
-            ),
-            Gen::AluRri(o, a, x, i) => Inst::rri(
-                RRI_OPS[*o as usize % RRI_OPS.len()],
-                reg(*a),
-                reg(*x),
-                i32::from(*i),
-            ),
-            Gen::Li(a, i) => Inst::li(reg(*a), *i),
-            Gen::MulDiv(o, a, x, y) => Inst::rrr(
-                MD_OPS[*o as usize % MD_OPS.len()],
-                reg(*a),
-                reg(*x),
-                reg(*y),
-            ),
-            Gen::Load(a, off) => {
-                Inst::load_int(Opcode::Ld, reg(*a), base, i32::from(off % 2048 / 8 * 8))
-            }
-            Gen::Store(a, off) => {
-                Inst::store_int(Opcode::Sd, reg(*a), base, i32::from(off % 2048 / 8 * 8))
-            }
-            Gen::Branch(o, a, x, skip) => {
-                let remaining = steps.len() - idx - 1;
-                let skip = (*skip as usize).min(remaining) as i32;
-                Inst::branch(
-                    BR_OPS[*o as usize % BR_OPS.len()],
-                    reg(*a),
-                    reg(*x),
-                    (skip + 1) * 8,
-                )
-            }
-        };
-        b = b.inst(inst);
-    }
-    b.inst(Inst::halt()).build()
-}
+mod programs;
 
 const ALL_MODES: [ExecMode; 5] = [
     ExecMode::Sie,
@@ -155,7 +62,7 @@ fn assert_conserves(s: &SimStats, ctx: &str) {
 fn every_cycle_is_attributed_in_every_mode_on_both_engines() {
     let mut rng = Rng::new(0x57A_0001);
     for case in 0..12u64 {
-        let program = gen_program(&mut rng, 5, 120);
+        let program = programs::INTEGER.program(&mut rng, 5, 120);
         for engine in BOTH_ENGINES {
             for mode in ALL_MODES {
                 let s = run_one(&program, engine, mode, FaultConfig::none(), None);
@@ -177,7 +84,7 @@ fn attribution_survives_fault_injection_and_rewinds() {
     };
     let (mut mismatches, mut rewind_stalls) = (0u64, 0u64);
     for case in 0..8u64 {
-        let program = gen_program(&mut rng, 20, 120);
+        let program = programs::INTEGER.program(&mut rng, 20, 120);
         for engine in BOTH_ENGINES {
             for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
                 let s = run_one(&program, engine, mode, faults, None);
@@ -207,7 +114,7 @@ fn attribution_survives_a_watchdog_cut() {
         seed: 3,
         ..FaultConfig::none()
     };
-    let program = gen_program(&mut rng, 40, 120);
+    let program = programs::INTEGER.program(&mut rng, 40, 120);
     for engine in BOTH_ENGINES {
         let s = run_one(&program, engine, ExecMode::Die, faults, Some(3_000));
         assert!(s.watchdog_fired, "{engine:?}: fu_rate 1.0 must livelock");
@@ -221,7 +128,7 @@ fn engines_attribute_stalls_identically() {
     // already keep bit-identical, so the breakdowns must match too.
     let mut rng = Rng::new(0x57A_0004);
     for case in 0..8u64 {
-        let program = gen_program(&mut rng, 10, 120);
+        let program = programs::INTEGER.program(&mut rng, 10, 120);
         for mode in ALL_MODES {
             let ev = run_one(
                 &program,
@@ -251,7 +158,7 @@ fn tracing_is_observationally_pure_and_deterministic() {
     // Attaching a tracer must not perturb the simulation, and the event
     // stream for a fixed program must be reproducible run to run.
     let mut rng = Rng::new(0x57A_0005);
-    let program = gen_program(&mut rng, 40, 120);
+    let program = programs::INTEGER.program(&mut rng, 40, 120);
     for mode in ALL_MODES {
         let cfg = MachineConfig::tiny();
         let untraced = Simulator::new(cfg.clone(), mode)
@@ -292,7 +199,7 @@ fn traced_commits_account_for_every_productive_cycle() {
         }
     }
     let mut rng = Rng::new(0x57A_0006);
-    let program = gen_program(&mut rng, 40, 120);
+    let program = programs::INTEGER.program(&mut rng, 40, 120);
     for mode in ALL_MODES {
         let mut t = CommitCycles {
             cycles: std::collections::BTreeSet::new(),
