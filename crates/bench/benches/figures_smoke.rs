@@ -18,7 +18,7 @@ use redsim_workloads::Workload;
 const APP: Workload = Workload::Gzip;
 
 fn main() {
-    let mut h = Harness::quick();
+    let mut h = Harness::new(true);
     for (name, figure) in figures::ALL {
         let jobs = figure().jobs(&[APP]);
         let r = bench(1, 10, || black_box(h.sweep(&jobs, 1)));

@@ -18,30 +18,13 @@
 //! `--seeds N` replicates every scenario across `N` independent fault
 //! seeds and reports mean±stddev per column.
 
-use redsim_bench::{finish, pm, Cli, Harness, Job, Table};
+use redsim_bench::{apply_rate_overrides, finish, pm, Cli, Harness, Job, Table};
 use redsim_core::{ExecMode, FaultConfig, MachineConfig, SimStats};
 use redsim_workloads::Workload;
 
-/// Parses a `--*-rate` override, exiting with a clear message if the
-/// value is not a number (range checking is `FaultConfig::validate`'s
-/// job so the typed error covers both entry paths).
-fn rate_override(cli: &Cli, flag: &str) -> Option<f64> {
-    let v = cli.value(flag)?;
-    match v.parse::<f64>() {
-        Ok(x) => Some(x),
-        Err(_) => {
-            eprintln!("error: {flag} expects a number, got {v:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let cli = Cli::parse();
-    let fu = rate_override(&cli, "--fu-rate");
-    let fwd = rate_override(&cli, "--forward-rate");
-    let irb = rate_override(&cli, "--irb-rate");
-    let mut h = Harness::from_cli(&cli);
+    let mut h = Harness::new(cli.quick);
     let base = MachineConfig::paper_baseline();
     let apps = [
         Workload::Gzip,
@@ -107,30 +90,7 @@ fn main() {
         ),
     ];
 
-    // Apply CLI rate overrides to the scenarios that inject at the
-    // matching site, then validate each configuration up front so a bad
-    // rate fails fast with the typed error instead of mid-sweep.
-    for (name, _, fc) in &mut scenarios {
-        if fc.fu_rate > 0.0 {
-            if let Some(r) = fu {
-                fc.fu_rate = r;
-            }
-        }
-        if fc.forward_rate > 0.0 {
-            if let Some(r) = fwd {
-                fc.forward_rate = r;
-            }
-        }
-        if fc.irb_rate > 0.0 {
-            if let Some(r) = irb {
-                fc.irb_rate = r;
-            }
-        }
-        if let Err(e) = fc.validate() {
-            eprintln!("error: scenario {name:?}: invalid fault configuration: {e}");
-            std::process::exit(2);
-        }
-    }
+    apply_rate_overrides(&cli, scenarios.iter_mut().map(|(name, _, fc)| (*name, fc)));
 
     let seeds = u64::from(cli.seeds);
     let mut jobs = Vec::new();

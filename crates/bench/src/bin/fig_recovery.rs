@@ -21,7 +21,7 @@ const MODES: usize = 4;
 fn main() {
     let cli = Cli::parse();
     let per_stream = cli.value("--forwarding") == Some("per-stream");
-    let mut h = Harness::from_cli(&cli);
+    let mut h = Harness::new(cli.quick);
     let mut base = MachineConfig::paper_baseline();
     if per_stream {
         base.forwarding = ForwardingPolicy::PerStream;

@@ -32,7 +32,7 @@ const ENGINES: [(&str, SchedEngine); 2] = [
 
 fn main() {
     let cli = Cli::parse();
-    let mut h = Harness::from_cli(&cli);
+    let mut h = Harness::new(cli.quick);
     let base = MachineConfig::paper_baseline();
 
     // Job order: (engine, mode) major, workload minor, so each

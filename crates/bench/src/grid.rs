@@ -204,7 +204,7 @@ pub fn main(figure: Declaration) {
         std::process::exit(2);
     }
     let fig = figure();
-    let mut h = Harness::from_cli(&cli);
+    let mut h = Harness::new(cli.quick);
     let (results, errors) = h.try_sweep(&fig.jobs(&Workload::ALL), cli.threads);
     let table = fig.table(&Workload::ALL, &results);
     finish(&cli, fig.title, &fig.note, &table, None, &h, &errors);

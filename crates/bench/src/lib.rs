@@ -34,13 +34,18 @@
 //! Eleven of the figures are declared grids ([`figures`]): the runs each
 //! workload goes through and the columns computed from them. One runner
 //! ([`grid::main`]) turns a declaration into a list of [`Job`]s, hands it
-//! to [`Harness::try_sweep`], which materializes each workload's
-//! committed trace once (an `Arc<Trace>` recipe: program and count, which
-//! every job replays on its own emulator) and runs the grid in parallel,
-//! then tabulates and prints the result through [`finish`].
-//! `fig_recovery`, `fig_faults`, `fig_reuse_anatomy` and `table_config`
-//! have shapes a grid does not (replicas, per-scenario rows, per-mode
-//! rows, no runs) and keep their own bodies.
+//! to [`Harness::try_sweep`], then tabulates and prints the result
+//! through [`finish`]. `fig_recovery`, `fig_faults`, `fig_reuse_anatomy`
+//! and `table_config` have shapes a grid does not (replicas,
+//! per-scenario rows, per-mode rows, no runs) and keep their own bodies.
+//!
+//! Every simulation here and in the campaign runner is launched one way:
+//! [`Harness::traces`] builds each workload's committed trace once (an
+//! `Arc<Trace>` recipe: program and count, which every job replays on
+//! its own emulator), [`par_map`] fans the jobs across an ordered scoped
+//! pool (inline on the caller's thread at `--threads 1`), and
+//! [`run_job_isolated`] runs each one on the simulator [`Job::simulator`]
+//! lowers it to.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,8 +53,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use redsim_core::{
-    ExecMode, FaultConfig, Instrumentation, MachineConfig, MetricsCollector, NullTracer, SimStats,
-    Simulator, StallSummary, Throughput, TraceSource, WindowSample,
+    ExecMode, FaultConfig, Instrumentation, MachineConfig, MetricsCollector, MetricsSink,
+    NullMetrics, NullTracer, SimStats, Simulator, StallSummary, Throughput, TraceSource,
+    WindowSample,
 };
 use redsim_isa::trace::Trace;
 use redsim_util::Json;
@@ -218,6 +224,48 @@ impl Cli {
     }
 }
 
+/// Applies the fault figures' `--fu-rate`, `--forward-rate` and
+/// `--irb-rate` overrides to every scenario that strikes at the matching
+/// site, then validates each configuration up front, so a bad rate fails
+/// fast instead of mid-sweep. A value that is not a number, or a rate
+/// [`FaultConfig::validate`] rejects, prints an error naming it and
+/// exits 2.
+pub fn apply_rate_overrides<'a>(
+    cli: &Cli,
+    scenarios: impl IntoIterator<Item = (&'a str, &'a mut FaultConfig)>,
+) {
+    let rate = |flag: &str| {
+        let v = cli.value(flag)?;
+        match v.parse::<f64>() {
+            Ok(x) => Some(x),
+            Err(_) => {
+                eprintln!("error: {flag} expects a number, got {v:?}");
+                std::process::exit(2);
+            }
+        }
+    };
+    let (fu, fwd, irb) = (
+        rate("--fu-rate"),
+        rate("--forward-rate"),
+        rate("--irb-rate"),
+    );
+    for (name, fc) in scenarios {
+        for (site, over) in [
+            (&mut fc.fu_rate, fu),
+            (&mut fc.forward_rate, fwd),
+            (&mut fc.irb_rate, irb),
+        ] {
+            if let Some(r) = over.filter(|_| *site > 0.0) {
+                *site = r;
+            }
+        }
+        if let Err(e) = fc.validate() {
+            eprintln!("error: scenario {name:?}: invalid fault configuration: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// One cell of the experiment grid: a workload run under a mode and
 /// machine configuration, optionally with fault injection.
 #[derive(Debug, Clone)]
@@ -318,6 +366,40 @@ impl Job {
     #[must_use]
     pub fn label(&self) -> String {
         format!("{}/{:?}", self.workload.name(), self.mode)
+    }
+
+    /// The simulator this job runs: its configuration and mode with the
+    /// job's faults, watchdog, cancellation flag and attribution applied.
+    ///
+    /// # Errors
+    ///
+    /// A persistent [`JobErrorKind::Sim`] failure when the fault
+    /// configuration is invalid.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the machine configuration is inconsistent
+    /// ([`Simulator::new`]).
+    pub fn simulator(&self) -> Result<Simulator, JobFailure> {
+        let mut sim = Simulator::new(self.config.clone(), self.mode);
+        if let Some(fc) = self.faults {
+            sim = sim.try_with_faults(fc).map_err(|e| {
+                JobFailure::new(
+                    JobErrorKind::Sim,
+                    format!("invalid fault configuration: {e}"),
+                )
+            })?;
+        }
+        if let Some(w) = self.watchdog {
+            sim = sim.with_watchdog(w);
+        }
+        if let Some(c) = &self.cancel {
+            sim = sim.with_cancel(Arc::clone(c));
+        }
+        if self.attribution {
+            sim = sim.with_attribution();
+        }
+        Ok(sim)
     }
 }
 
@@ -485,50 +567,31 @@ fn run_job(
     trace: &Trace,
     job: &Job,
 ) -> Result<(SimStats, Throughput, Vec<WindowSample>), JobFailure> {
+    let sim = job.simulator()?;
     let mut source = TraceSource::new(trace);
-    let mut sim = Simulator::new(job.config.clone(), job.mode);
-    if let Some(fc) = job.faults {
-        sim = sim.try_with_faults(fc).map_err(|e| {
-            JobFailure::new(
-                JobErrorKind::Sim,
-                format!("invalid fault configuration: {e}"),
-            )
-        })?;
-    }
-    if let Some(w) = job.watchdog {
-        sim = sim.with_watchdog(w);
-    }
-    if let Some(c) = &job.cancel {
-        sim = sim.with_cancel(Arc::clone(c));
-    }
-    if job.attribution {
-        sim = sim.with_attribution();
-    }
-    let sim_err = |e: redsim_core::SimError| JobFailure::new(classify_sim_error(&e), e.to_string());
-    let t0 = std::time::Instant::now();
-    let (stats, windows) = if let Some(window) = job.metrics_window {
-        let mut collector = MetricsCollector::new(window);
-        let mut tracer = NullTracer;
-        let stats = sim
-            .run_source_instrumented(
-                &mut source,
-                Instrumentation {
-                    tracer: &mut tracer,
-                    metrics: &mut collector,
-                    profiler: None,
-                },
-            )
-            .map_err(sim_err)?;
-        (stats, collector.into_samples())
-    } else {
-        let stats = sim.run_source(&mut source).map_err(sim_err)?;
-        (stats, Vec::new())
+    let mut collector = job.metrics_window.map(MetricsCollector::new);
+    let mut null = NullMetrics;
+    let metrics: &mut dyn MetricsSink = match &mut collector {
+        Some(c) => c,
+        None => &mut null,
     };
+    let t0 = std::time::Instant::now();
+    let stats = sim
+        .run_source_instrumented(
+            &mut source,
+            Instrumentation {
+                tracer: &mut NullTracer,
+                metrics,
+                profiler: None,
+            },
+        )
+        .map_err(|e| JobFailure::new(classify_sim_error(&e), e.to_string()))?;
     let perf = Throughput {
         wall_seconds: t0.elapsed().as_secs_f64(),
         sim_cycles: stats.cycles,
         committed_insts: stats.committed_insts,
     };
+    let windows = collector.map_or_else(Vec::new, MetricsCollector::into_samples);
     Ok((stats, perf, windows))
 }
 
@@ -568,6 +631,35 @@ pub fn run_job_isolated(
     }
 }
 
+/// Runs `f(0)`, ..., `f(n - 1)` on `threads` scoped workers that pull
+/// the next index from a shared cursor, and returns the results in index
+/// order. With one thread (or at most one index) everything runs inline
+/// on the caller's thread and no thread is spawned. Every index runs
+/// exactly once.
+pub fn par_map<T: Send + Sync>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                assert!(slots[i].set(f(i)).is_ok(), "each index runs once");
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|c| c.into_inner().expect("a worker filled every slot"))
+        .collect()
+}
+
 /// Harness context: workload sizing, per-workload trace caching, and
 /// accumulated wall-clock throughput of every simulation run.
 #[derive(Debug, Default)]
@@ -590,24 +682,6 @@ impl Harness {
         }
     }
 
-    /// Creates a harness sized by the shared command line.
-    #[must_use]
-    pub fn from_cli(cli: &Cli) -> Self {
-        Self::new(cli.quick)
-    }
-
-    /// Creates a quick-mode harness (used by the smoke bench).
-    #[must_use]
-    pub fn quick() -> Self {
-        Self::new(true)
-    }
-
-    /// Whether quick mode is on.
-    #[must_use]
-    pub fn is_quick(&self) -> bool {
-        self.quick
-    }
-
     /// The workload parameters this harness runs.
     #[must_use]
     pub fn params(&self, w: Workload) -> Params {
@@ -621,29 +695,24 @@ impl Harness {
     /// The committed-path trace of a workload. Built once per workload
     /// (one counting emulator pass) and shared by reference count; every
     /// job replays the identical instruction stream from it.
-    pub fn trace(&mut self, w: Workload) -> Arc<Trace> {
-        self.trace_for(w, None)
-    }
-
-    /// Like [`Harness::trace`], with an optional input-seed override.
-    /// Each `(workload, seed)` pair is built once and cached.
     ///
     /// # Panics
     ///
     /// Panics if the workload fails to assemble or execute; use
     /// [`Harness::try_trace_for`] to get the structured error instead.
-    pub fn trace_for(&mut self, w: Workload, input_seed: Option<u64>) -> Arc<Trace> {
-        match self.try_trace_for(w, input_seed) {
+    pub fn trace(&mut self, w: Workload) -> Arc<Trace> {
+        match self.try_trace_for(w, None) {
             Ok(t) => t,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Fallible variant of [`Harness::trace_for`]: a workload that fails
-    /// to assemble or to reach `halt` within the instruction budget
-    /// reports a [`redsim_workloads::WorkloadError`] instead of
-    /// panicking. Failures are not cached, so a retry re-runs the
-    /// emulator.
+    /// Like [`Harness::trace`], with an optional input-seed override,
+    /// reporting a workload that fails to assemble or to reach `halt`
+    /// within the instruction budget as a
+    /// [`redsim_workloads::WorkloadError`] instead of panicking. Each
+    /// `(workload, seed)` pair is built once and cached; failures are
+    /// not cached, so a retry re-runs the emulator.
     pub fn try_trace_for(
         &mut self,
         w: Workload,
@@ -656,9 +725,21 @@ impl Harness {
         if let Some(seed) = input_seed {
             params.seed = seed;
         }
-        let trace = Arc::new(w.trace(params, 200_000_000)?);
+        let trace = Arc::new(w.trace(params, Workload::TRACE_BUDGET)?);
         self.cache.insert((w, input_seed), Arc::clone(&trace));
         Ok(trace)
+    }
+
+    /// Every job's trace, in job order, built on the caller's thread so
+    /// that workers only share them read-only. A trace that cannot be
+    /// built is a persistent [`JobErrorKind::Trace`] failure of its job.
+    pub fn traces(&mut self, jobs: &[Job]) -> Vec<Result<Arc<Trace>, JobFailure>> {
+        jobs.iter()
+            .map(|j| {
+                self.try_trace_for(j.workload, j.input_seed)
+                    .map_err(|e| JobFailure::new(JobErrorKind::Trace, e.to_string()))
+            })
+            .collect()
     }
 
     /// Wall-clock throughput accumulated over every simulation this
@@ -678,23 +759,14 @@ impl Harness {
         &self.stalls
     }
 
-    /// Runs one workload under one mode and machine configuration.
-    pub fn run(&mut self, w: Workload, mode: ExecMode, cfg: &MachineConfig) -> SimStats {
-        let trace = self.trace(w);
-        let (stats, perf, _) =
-            run_job(&trace, &Job::new(w, mode, cfg)).expect("simulation completes");
-        self.perf.add(&perf);
-        self.stalls.add_run(&stats);
-        stats
-    }
-
     /// Runs an experiment grid, fanning the jobs across `threads`
-    /// worker threads.
+    /// worker threads ([`par_map`]).
     ///
-    /// Traces are materialized up front (once per distinct workload);
-    /// the workers then share them read-only. Results come back in job
-    /// order, and because every simulation is single-threaded and
-    /// deterministic, the output is bit-identical for any thread count.
+    /// Traces are materialized up front ([`Harness::traces`], once per
+    /// distinct workload); the workers then share them read-only.
+    /// Results come back in job order, and because every simulation is
+    /// single-threaded and deterministic, the output is bit-identical
+    /// for any thread count.
     ///
     /// # Panics
     ///
@@ -739,16 +811,8 @@ impl Harness {
         threads: usize,
         on_done: impl Fn(usize, Result<(&SimStats, &[WindowSample]), &JobError>) + Sync,
     ) -> (Vec<SimStats>, Vec<JobError>) {
-        let traces: Vec<Result<Arc<Trace>, JobFailure>> = jobs
-            .iter()
-            .map(|j| {
-                self.try_trace_for(j.workload, j.input_seed)
-                    .map_err(|e| JobFailure::new(JobErrorKind::Trace, e.to_string()))
-            })
-            .collect();
-        let threads = threads.clamp(1, jobs.len().max(1));
-        type JobOk = (SimStats, Throughput, Vec<WindowSample>);
-        let run_one = |i: usize| -> Result<JobOk, JobError> {
+        let traces = self.traces(jobs);
+        let results = par_map(jobs.len(), threads, |i| {
             let outcome = match &traces[i] {
                 Ok(trace) => run_job_isolated(trace, &jobs[i]),
                 Err(e) => Err(e.clone()),
@@ -764,29 +828,7 @@ impl Harness {
                     Err(err)
                 }
             }
-        };
-        let results: Vec<Result<JobOk, JobError>> = if threads == 1 {
-            (0..jobs.len()).map(run_one).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<OnceLock<Result<JobOk, JobError>>> =
-                jobs.iter().map(|_| OnceLock::new()).collect();
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        assert!(slots[i].set(run_one(i)).is_ok(), "each job runs once");
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|c| c.into_inner().expect("worker filled every slot"))
-                .collect()
-        };
+        });
         // Accumulate in job order so the total is thread-count
         // independent apart from the wall-clock values themselves.
         let mut errors = Vec::new();
@@ -1215,9 +1257,11 @@ mod tests {
 
     #[test]
     fn harness_accumulates_a_conserving_stall_summary() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let cfg = MachineConfig::paper_baseline();
-        let s1 = h.run(Workload::Gzip, ExecMode::Sie, &cfg);
+        let s1 = h
+            .sweep(&[Job::new(Workload::Gzip, ExecMode::Sie, &cfg)], 1)
+            .remove(0);
         let jobs = vec![Job::new(Workload::Gzip, ExecMode::DieIrb, &cfg)];
         let swept = h.sweep(&jobs, 1);
         let sum = h.stall_summary();
@@ -1231,7 +1275,7 @@ mod tests {
 
     #[test]
     fn harness_trace_is_cached_and_stable() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let a = h.trace(Workload::Gzip);
         let b = h.trace(Workload::Gzip);
         assert!(Arc::ptr_eq(&a, &b), "second call reuses the cached trace");
@@ -1239,16 +1283,8 @@ mod tests {
     }
 
     #[test]
-    fn harness_run_produces_stats() {
-        let mut h = Harness::quick();
-        let cfg = MachineConfig::paper_baseline();
-        let s = h.run(Workload::Gzip, ExecMode::Sie, &cfg);
-        assert!(s.ipc() > 0.0);
-    }
-
-    #[test]
     fn sweep_matches_individual_runs() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let cfg = MachineConfig::paper_baseline();
         let jobs = vec![
             Job::new(Workload::Gzip, ExecMode::Sie, &cfg),
@@ -1256,14 +1292,15 @@ mod tests {
             Job::new(Workload::Mcf, ExecMode::DieIrb, &cfg),
         ];
         let swept = h.sweep(&jobs, 1);
-        assert_eq!(swept[0], h.run(Workload::Gzip, ExecMode::Sie, &cfg));
-        assert_eq!(swept[1], h.run(Workload::Gzip, ExecMode::Die, &cfg));
-        assert_eq!(swept[2], h.run(Workload::Mcf, ExecMode::DieIrb, &cfg));
+        for (s, job) in swept.iter().zip(&jobs) {
+            let trace = h.trace(job.workload);
+            assert_eq!(*s, run_job_isolated(&trace, job).expect("job runs").0);
+        }
     }
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let cfg = MachineConfig::paper_baseline();
         let mut jobs = Vec::new();
         for w in [Workload::Gzip, Workload::Mcf] {
@@ -1284,8 +1321,40 @@ mod tests {
     }
 
     #[test]
+    fn par_map_returns_results_in_index_order() {
+        for threads in [1, 2, 8] {
+            let squares = par_map(50, threads, |i| i * i);
+            assert_eq!(squares, (0..50).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn par_map_runs_every_index_exactly_once() {
+        for (n, threads) in [(0, 4), (3, 8), (17, 1), (17, 4)] {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = par_map(n, threads, |i| runs[i].fetch_add(1, Ordering::Relaxed));
+            assert_eq!(
+                out,
+                vec![0; n],
+                "n={n} threads={threads}: no index ran twice"
+            );
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "n={n} threads={threads}: every index ran"
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_on_one_thread_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ids = par_map(5, 1, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller), "no thread was spawned");
+    }
+
+    #[test]
     fn sweep_of_empty_grid_is_empty() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         assert!(h.sweep(&[], 8).is_empty());
     }
 
@@ -1300,17 +1369,17 @@ mod tests {
 
     #[test]
     fn input_seed_changes_the_cached_trace() {
-        let mut h = Harness::quick();
-        let base = h.trace_for(Workload::Gzip, None);
-        let same = h.trace_for(Workload::Gzip, None);
+        let mut h = Harness::new(true);
+        let base = h.try_trace_for(Workload::Gzip, None).expect("trace");
+        let same = h.try_trace_for(Workload::Gzip, None).expect("trace");
         assert!(Arc::ptr_eq(&base, &same));
-        let other = h.trace_for(Workload::Gzip, Some(99));
+        let other = h.try_trace_for(Workload::Gzip, Some(99)).expect("trace");
         assert!(!Arc::ptr_eq(&base, &other), "seeds get distinct traces");
     }
 
     #[test]
     fn try_sweep_isolates_a_panicking_job() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let cfg = MachineConfig::paper_baseline();
         // fu_rate 2.0 is invalid; `run_job` rejects it through
         // `Simulator::try_with_faults`, exercising the error path.
@@ -1345,7 +1414,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sweep job failed")]
     fn sweep_still_panics_on_job_failure() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let cfg = MachineConfig::paper_baseline();
         let bad = FaultConfig {
             fu_rate: -1.0,
@@ -1358,7 +1427,7 @@ mod tests {
     #[test]
     fn try_sweep_with_reports_every_completion() {
         use std::sync::Mutex;
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let cfg = MachineConfig::paper_baseline();
         let jobs = vec![
             Job::new(Workload::Gzip, ExecMode::Sie, &cfg),
@@ -1378,7 +1447,7 @@ mod tests {
     #[test]
     fn metrics_windows_flow_through_the_callback() {
         use std::sync::Mutex;
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let cfg = MachineConfig::paper_baseline();
         let jobs = vec![
             Job::new(Workload::Gzip, ExecMode::Sie, &cfg).with_metrics_window(512),
@@ -1407,7 +1476,7 @@ mod tests {
 
     #[test]
     fn panic_payloads_are_preserved_verbatim() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let trace = h.trace(Workload::Gzip);
         let mut cfg = MachineConfig::paper_baseline();
         cfg.fetch_width = 0; // Simulator::new panics in validate().
@@ -1450,7 +1519,7 @@ mod tests {
     #[test]
     fn a_raised_cancel_flag_fails_the_job_as_a_deadline() {
         use std::sync::atomic::AtomicBool;
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let trace = h.trace(Workload::Gzip);
         let cfg = MachineConfig::paper_baseline();
         let flag = Arc::new(AtomicBool::new(true)); // already expired
@@ -1497,7 +1566,7 @@ mod tests {
 
     #[test]
     fn watchdog_job_comes_back_flagged_not_failed() {
-        let mut h = Harness::quick();
+        let mut h = Harness::new(true);
         let cfg = MachineConfig::paper_baseline();
         let jobs = vec![Job::new(Workload::Gzip, ExecMode::Sie, &cfg).with_watchdog(50)];
         let (stats, errors) = h.try_sweep(&jobs, 1);

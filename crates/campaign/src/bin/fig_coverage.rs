@@ -45,7 +45,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use redsim_bench::{emit, pm, Cli, Table};
+use redsim_bench::{apply_rate_overrides, emit, pm, Cli, Table};
 use redsim_campaign::{
     exit_codes, run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignSpec,
     HangDumpOptions, Scenario,
@@ -56,17 +56,6 @@ use redsim_core::{
 use redsim_util::io::{ChaosConfig, ChaosIo, FsyncPolicy, RealIo};
 use redsim_util::Json;
 use redsim_workloads::Workload;
-
-fn rate_override(cli: &Cli, flag: &str) -> Option<f64> {
-    let v = cli.value(flag)?;
-    match v.parse::<f64>() {
-        Ok(x) => Some(x),
-        Err(_) => {
-            eprintln!("error: {flag} expects a number, got {v:?}");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn spec_from_cli(cli: &Cli) -> CampaignSpec {
     let shared = ForwardingPolicy::PrimaryToBoth;
@@ -101,35 +90,12 @@ fn spec_from_cli(cli: &Cli) -> CampaignSpec {
         sc("die/bus-per-stream", ExecMode::Die, bus, per_stream),
         sc("die-irb/bus-per-stream", ExecMode::DieIrb, bus, per_stream),
     ];
-    let (fu_o, fwd_o, irb_o) = (
-        rate_override(cli, "--fu-rate"),
-        rate_override(cli, "--forward-rate"),
-        rate_override(cli, "--irb-rate"),
+    apply_rate_overrides(
+        cli,
+        scenarios
+            .iter_mut()
+            .map(|s| (s.name.as_str(), &mut s.faults)),
     );
-    for s in &mut scenarios {
-        if s.faults.fu_rate > 0.0 {
-            if let Some(r) = fu_o {
-                s.faults.fu_rate = r;
-            }
-        }
-        if s.faults.forward_rate > 0.0 {
-            if let Some(r) = fwd_o {
-                s.faults.forward_rate = r;
-            }
-        }
-        if s.faults.irb_rate > 0.0 {
-            if let Some(r) = irb_o {
-                s.faults.irb_rate = r;
-            }
-        }
-        if let Err(e) = s.faults.validate() {
-            eprintln!(
-                "error: scenario {:?}: invalid fault configuration: {e}",
-                s.name
-            );
-            std::process::exit(2);
-        }
-    }
     let watchdog = match cli.value("--watchdog") {
         Some(v) => match v.parse::<u64>() {
             Ok(n) if n > 0 => Some(n),

@@ -4,11 +4,13 @@
 //!
 //! A fault-injection campaign runner built for interruption: it
 //! enumerates a deterministic list of *shards* (one simulation per
-//! `(scenario, workload, fault-seed)` cell), fans them across its own
-//! pool of worker threads (the bench [`Harness`] only builds the
-//! traces), and checkpoints every completed shard to an append-only
-//! JSONL *progress manifest* so a killed campaign resumes where it
-//! stopped.
+//! `(scenario, workload, fault-seed)` cell), builds their traces with
+//! the bench [`Harness::traces`], fans them across the same ordered
+//! pool the figure sweeps use ([`redsim_bench::par_map`]), and
+//! checkpoints every completed shard to an append-only JSONL *progress
+//! manifest* so a killed campaign resumes where it stopped. What is its
+//! own is the supervision of each shard, the abort flag a failed append
+//! raises, and the append itself.
 //!
 //! Robustness properties, by construction rather than by testing luck:
 //!
@@ -50,17 +52,16 @@
 use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use redsim_bench::Harness;
+use redsim_bench::{par_map, Harness};
 pub use redsim_bench::{Job, JobError, JobErrorKind, JobFailure};
 use redsim_core::{
     ExecMode, FaultConfig, FaultLifecycle, FlightRecorder, ForwardingPolicy, Histogram,
-    MachineConfig, SimStats, Simulator, TraceSource, WindowSample,
+    Instrumentation, MachineConfig, NullMetrics, SimStats, TraceSource, WindowSample,
 };
-use redsim_isa::trace::Trace;
 use redsim_util::framed_log::{self, Appender};
 use redsim_util::hash::FxHasher;
 use redsim_util::io::{atomic_write, FsyncPolicy, Io, RealIo};
@@ -730,85 +731,60 @@ pub fn run_campaign(
 
     if !pending.is_empty() {
         let jobs: Vec<Job> = pending.iter().map(|s| spec.job(s)).collect();
-        // Traces are materialized up front, single-threaded, through
-        // the bench cache — workers then share them read-only. A trace
-        // that cannot be built is a persistent failure for its shards.
-        let mut h = Harness::new(spec.quick);
-        let traces: Vec<Result<Arc<Trace>, JobFailure>> = jobs
-            .iter()
-            .map(|j| {
-                h.try_trace_for(j.workload, j.input_seed)
-                    .map_err(|e| JobFailure::new(JobErrorKind::Trace, e.to_string()))
-            })
-            .collect();
+        let traces = Harness::new(spec.quick).traces(&jobs);
         let sink = Appender::open(io, &opts.progress_path, opts.fsync.sync_records())?;
         let monitor = opts.host_deadline.map(|_| DeadlineMonitor::new());
+        // A failed append latches in the sink; the flag stops every
+        // worker from running the shards still queued behind it.
         let abort = AtomicBool::new(false);
-        let next = AtomicUsize::new(0);
-        let fresh: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let threads = opts.threads.clamp(1, pending.len());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= pending.len() {
-                        break;
-                    }
-                    let shard = &pending[i];
-                    let label = spec.label(shard);
-                    let injected = opts.flake.as_ref().map_or(0, |f| f.failures_for(shard.id));
-                    let line = match &traces[i] {
-                        Err(f) => record_line(
-                            shard,
-                            &label,
-                            Err(FailureInfo {
-                                failure: f,
-                                attempts: 1,
-                                quarantined: false,
-                            }),
-                        ),
-                        Ok(trace) => match execute_shard(
-                            trace,
-                            &jobs[i],
-                            &opts.retry,
-                            monitor.as_ref(),
-                            opts.host_deadline,
-                            injected,
-                        ) {
-                            Ok((stats, windows)) => {
-                                record_line(shard, &label, Ok((&stats, &windows)))
-                            }
-                            Err(sf) => record_line(
-                                shard,
-                                &label,
-                                Err(FailureInfo {
-                                    failure: &sf.failure,
-                                    attempts: sf.attempts,
-                                    quarantined: sf.quarantined,
-                                }),
-                            ),
-                        },
-                    };
-                    if !sink.append(&line) {
-                        abort.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    fresh
-                        .lock()
-                        .expect("record list lock")
-                        .push((shard.id, line));
-                });
+        let fresh = par_map(pending.len(), opts.threads, |i| {
+            if abort.load(Ordering::Relaxed) {
+                return None;
+            }
+            let shard = &pending[i];
+            let label = spec.label(shard);
+            let injected = opts.flake.as_ref().map_or(0, |f| f.failures_for(shard.id));
+            let line = match &traces[i] {
+                Err(f) => record_line(
+                    shard,
+                    &label,
+                    Err(FailureInfo {
+                        failure: f,
+                        attempts: 1,
+                        quarantined: false,
+                    }),
+                ),
+                Ok(trace) => match execute_shard(
+                    trace,
+                    &jobs[i],
+                    &opts.retry,
+                    monitor.as_ref(),
+                    opts.host_deadline,
+                    injected,
+                ) {
+                    Ok((stats, windows)) => record_line(shard, &label, Ok((&stats, &windows))),
+                    Err(sf) => record_line(
+                        shard,
+                        &label,
+                        Err(FailureInfo {
+                            failure: &sf.failure,
+                            attempts: sf.attempts,
+                            quarantined: sf.quarantined,
+                        }),
+                    ),
+                },
+            };
+            if sink.append(&line) {
+                Some((shard.id, line))
+            } else {
+                abort.store(true, Ordering::Relaxed);
+                None
             }
         });
         if let Some(e) = sink.error() {
             return Err(CampaignError::Io(e));
         }
-        for (id, line) in fresh.into_inner().expect("record list lock") {
-            done.insert(id, line);
-        }
+        done.extend(fresh.into_iter().flatten());
     }
 
     if interrupted || done.len() < shards.len() {
@@ -834,7 +810,7 @@ pub fn run_campaign(
             if j.get("watchdog_fired").and_then(Json::as_bool) != Some(true) {
                 continue;
             }
-            if let Some(p) = dump_hang_trace(spec, &shards[id], dump, &mut h) {
+            if let Some(p) = dump_hang_trace(spec, &shards[id], opts, dump, &mut h) {
                 hang_traces.push(p);
             }
         }
@@ -852,35 +828,44 @@ pub fn run_campaign(
 }
 
 /// Replays one hung shard deterministically under a flight recorder and
-/// writes its Chrome-trace sidecar. The replay is single-threaded and a
-/// pure function of the shard's job, so the sidecar bytes are identical
-/// however the campaign itself was scheduled. Best-effort post-mortem:
-/// a replay or I/O failure skips the sidecar, never fails the campaign.
+/// writes its Chrome-trace sidecar atomically through the campaign's
+/// [`Io`], so a kill mid-dump never leaves a partial sidecar for a
+/// resume to keep. The replay is single-threaded and a pure function of
+/// the shard's job, so the sidecar bytes are identical however the
+/// campaign itself was scheduled. Best-effort post-mortem: a replay or
+/// I/O failure skips the sidecar, never fails the campaign.
 fn dump_hang_trace(
     spec: &CampaignSpec,
     shard: &Shard,
+    opts: &CampaignOptions,
     dump: &HangDumpOptions,
     harness: &mut Harness,
 ) -> Option<PathBuf> {
     let path = hang_trace_path(&dump.base, shard.id);
-    if path.exists() {
+    if opts.io.exists(&path) {
         return Some(path); // resumed campaign: the dump is already on disk
     }
     let job = spec.job(shard);
     let trace = harness.try_trace_for(job.workload, job.input_seed).ok()?;
-    let mut sim = Simulator::new(job.config.clone(), job.mode);
-    if let Some(fc) = job.faults {
-        sim = sim.try_with_faults(fc).ok()?;
-    }
-    if let Some(w) = job.watchdog {
-        sim = sim.with_watchdog(w);
-    }
     let mut recorder = FlightRecorder::new(dump.capacity);
-    let mut source = TraceSource::new(&trace);
     // The shard already ran to classification once; the replay exists
     // only for its event tail, so the stats result is discarded.
-    let _ = sim.run_source_traced(&mut source, &mut recorder);
-    std::fs::write(&path, format!("{}\n", recorder.to_chrome_json())).ok()?;
+    let _ = job.simulator().ok()?.run_source_instrumented(
+        &mut TraceSource::new(&trace),
+        Instrumentation {
+            tracer: &mut recorder,
+            metrics: &mut NullMetrics,
+            profiler: None,
+        },
+    );
+    let bytes = format!("{}\n", recorder.to_chrome_json());
+    atomic_write(
+        opts.io.as_ref(),
+        &path,
+        bytes.as_bytes(),
+        opts.fsync.sync_barriers(),
+    )
+    .ok()?;
     Some(path)
 }
 

@@ -8,16 +8,18 @@
 //! sweep in the shape of the serve journal's, so both users of the
 //! shared record log are pinned by one recipe.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use redsim_campaign::{
-    run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignReport, CampaignSpec,
-    FlakePlan, Scenario,
+    hang_trace_path, run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignReport,
+    CampaignSpec, FlakePlan, HangDumpOptions, Scenario,
 };
 use redsim_core::{ExecMode, FaultConfig, ForwardingPolicy};
-use redsim_util::io::{ChaosConfig, ChaosIo, RealIo};
+use redsim_util::io::{ChaosConfig, ChaosIo, Io, IoFile, RealIo};
 use redsim_util::Json;
 use redsim_workloads::Workload;
 
@@ -261,4 +263,166 @@ fn kill_at_every_io_boundary_then_resume_is_byte_identical() {
         );
         let _ = std::fs::remove_dir_all(o.progress_path.parent().expect("campaign dir"));
     }
+}
+
+/// The real filesystem, except that the `fail_at`-th write (0-based) to
+/// an appended file fails with `ENOSPC` and writes nothing. Every other
+/// write lands, so a writer that kept appending after the failure would
+/// show up in the file.
+#[derive(Debug)]
+struct OneFailedAppend {
+    fail_at: usize,
+    writes: Arc<AtomicUsize>,
+}
+
+struct CountedFile {
+    inner: Box<dyn IoFile>,
+    fail_at: usize,
+    writes: Arc<AtomicUsize>,
+}
+
+impl IoFile for CountedFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.writes.fetch_add(1, Ordering::SeqCst) == self.fail_at {
+            return Err(io::Error::from_raw_os_error(28));
+        }
+        self.inner.write(buf)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.inner.sync()
+    }
+}
+
+impl Io for OneFailedAppend {
+    fn read_to_string(&self, path: &Path) -> io::Result<String> {
+        RealIo.read_to_string(path)
+    }
+
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        RealIo.create_dir_all(path)
+    }
+
+    fn create(&self, path: &Path) -> io::Result<Box<dyn IoFile>> {
+        RealIo.create(path)
+    }
+
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn IoFile>> {
+        Ok(Box::new(CountedFile {
+            inner: RealIo.open_append(path)?,
+            fail_at: self.fail_at,
+            writes: Arc::clone(&self.writes),
+        }))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealIo.rename(from, to)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        RealIo.exists(path)
+    }
+}
+
+#[test]
+fn a_failed_append_stops_the_campaign_appending_further_shards() {
+    let spec = CampaignSpec {
+        seeds: 4,
+        ..small_spec()
+    };
+    let reference = reference_report(&spec);
+    let writes = Arc::new(AtomicUsize::new(0));
+    let mut o = opts("append-fails", 2);
+    o.io = Arc::new(OneFailedAppend {
+        fail_at: 1,
+        writes: Arc::clone(&writes),
+    });
+    match run_campaign(&spec, &o) {
+        Err(CampaignError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull, "{e}"),
+        other => panic!("expected the append's Io error, got {other:?}"),
+    }
+    assert_eq!(
+        writes.load(Ordering::SeqCst),
+        2,
+        "no append is attempted after the failed one"
+    );
+    let manifest = std::fs::read_to_string(&o.progress_path).expect("manifest");
+    assert_eq!(
+        manifest.lines().count(),
+        2,
+        "header plus the one record appended before the failure"
+    );
+    assert!(
+        !o.report_path.exists(),
+        "a failed campaign writes no report"
+    );
+
+    o.io = Arc::new(RealIo);
+    o.resume = true;
+    assert_eq!(
+        complete(run_campaign(&spec, &o).expect("resume")).report,
+        reference
+    );
+}
+
+#[test]
+fn a_kill_during_the_hang_dump_leaves_no_sidecar_and_resume_writes_it() {
+    // DIE with every result corrupt rewinds forever, so the watchdog
+    // fires and the shard gets a flight-recorder sidecar.
+    let spec = CampaignSpec {
+        scenarios: vec![Scenario {
+            name: "livelock".to_owned(),
+            mode: ExecMode::Die,
+            faults: FaultConfig {
+                fu_rate: 1.0,
+                seed: 3,
+                ..FaultConfig::none()
+            },
+            forwarding: ForwardingPolicy::PrimaryToBoth,
+        }],
+        seeds: 1,
+        watchdog: Some(20_000),
+        ..small_spec()
+    };
+    let dumping = |dir: &str| {
+        let mut o = opts(dir, 1);
+        o.hang_dumps = Some(HangDumpOptions {
+            base: o.report_path.clone(),
+            capacity: 4096,
+        });
+        o
+    };
+    let clean = complete(run_campaign(&spec, &dumping("dump-clean")).expect("clean run"));
+    let sidecar = std::fs::read(&clean.hang_traces[0]).expect("clean sidecar");
+
+    // Count the IO operations of the run up to its report write.
+    let probe = ChaosIo::new(Arc::new(RealIo), ChaosConfig::quiet(0));
+    let mut o = opts("dump-probe", 1);
+    o.io = Arc::new(probe.clone());
+    complete(run_campaign(&spec, &o).expect("probe run"));
+
+    // Kill just after the report write: the dump is the first casualty.
+    let mut o = dumping("dump-kill");
+    o.io = Arc::new(ChaosIo::new(
+        Arc::new(RealIo),
+        ChaosConfig {
+            kill_after_ops: Some(probe.ops()),
+            ..ChaosConfig::quiet(0)
+        },
+    ));
+    let killed = complete(run_campaign(&spec, &o).expect("a failed dump never fails the campaign"));
+    let path = hang_trace_path(&o.report_path, 0);
+    assert!(!path.exists(), "a killed dump leaves no sidecar behind");
+    assert!(killed.hang_traces.is_empty());
+    assert_eq!(killed.report, clean.report);
+
+    o.io = Arc::new(RealIo);
+    o.resume = true;
+    let resumed = complete(run_campaign(&spec, &o).expect("resume"));
+    assert_eq!(resumed.hang_traces, vec![path.clone()]);
+    assert_eq!(
+        std::fs::read(&path).expect("resumed sidecar"),
+        sidecar,
+        "the resumed sidecar matches a clean run's byte for byte"
+    );
 }

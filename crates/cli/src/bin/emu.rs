@@ -12,6 +12,7 @@ use redsim_cli::{die, load_program, usage, Args};
 use redsim_isa::emu::Emulator;
 use redsim_isa::trace::OutputEvent;
 use redsim_isa::trace_io;
+use redsim_workloads::Workload;
 
 fn main() {
     let args = Args::from_env();
@@ -19,7 +20,7 @@ fn main() {
         usage("usage: redsim-emu <prog.s|prog.rprog> [--budget <n>] [--trace-out <file.rtrc>]");
     };
     let budget = args
-        .parsed_or("--budget", 200_000_000u64)
+        .parsed_or("--budget", Workload::TRACE_BUDGET)
         .unwrap_or_else(|e| die(&e));
     let program = load_program(input).unwrap_or_else(|e| die(&e));
     let mut emu = Emulator::new(&program);

@@ -161,7 +161,7 @@ fn main() {
     };
     let cfg = build_config(&args).unwrap_or_else(|e| die(&e));
     let budget = args
-        .parsed_or("--budget", 200_000_000u64)
+        .parsed_or("--budget", Workload::TRACE_BUDGET)
         .unwrap_or_else(|e| die(&e));
     let faults = FaultConfig {
         fu_rate: args
@@ -287,7 +287,7 @@ enum CompareInput {
 fn compare(args: &Args) {
     let cfg = build_config(args).unwrap_or_else(|e| die(&e));
     let budget = args
-        .parsed_or("--budget", 200_000_000u64)
+        .parsed_or("--budget", Workload::TRACE_BUDGET)
         .unwrap_or_else(|e| die(&e));
     let input = if let Some(trace_path) = args.value_of("--trace") {
         CompareInput::Records(read_trace_file(trace_path))

@@ -206,7 +206,8 @@ impl Simulator {
     /// Fails if functional execution faults (bad memory access, budget
     /// exhausted) or the timing model deadlocks.
     pub fn run_program(&self, program: &Program) -> Result<SimStats, SimError> {
-        self.run_program_traced(program, &mut NullTracer)
+        let mut source = EmulatorSource::new(program, self.budget);
+        self.run_source(&mut source)
     }
 
     /// Runs an arbitrary committed-path source to exhaustion.
@@ -215,43 +216,10 @@ impl Simulator {
     ///
     /// Same conditions as [`Simulator::run_program`].
     pub fn run_source(&self, source: &mut dyn InstructionSource) -> Result<SimStats, SimError> {
-        self.run_source_traced(source, &mut NullTracer)
-    }
-
-    /// Like [`Simulator::run_program`], recording structured pipeline
-    /// events into `tracer` as the run progresses.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_program`].
-    pub fn run_program_traced(
-        &self,
-        program: &Program,
-        tracer: &mut dyn Tracer,
-    ) -> Result<SimStats, SimError> {
-        let mut source = EmulatorSource::new(program, self.budget);
-        self.run_source_traced(&mut source, tracer)
-    }
-
-    /// Like [`Simulator::run_source`], recording structured pipeline
-    /// events into `tracer`. With a sink whose
-    /// [`Tracer::enabled`](crate::Tracer::enabled) answers `false`
-    /// (the default [`NullTracer`](crate::NullTracer)), emission is
-    /// skipped behind one cached branch per site — timing and stats are
-    /// identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_program`].
-    pub fn run_source_traced(
-        &self,
-        source: &mut dyn InstructionSource,
-        tracer: &mut dyn Tracer,
-    ) -> Result<SimStats, SimError> {
         self.run_source_instrumented(
             source,
             Instrumentation {
-                tracer,
+                tracer: &mut NullTracer,
                 metrics: &mut NullMetrics,
                 profiler: None,
             },
@@ -289,16 +257,7 @@ impl Simulator {
         source: &mut dyn InstructionSource,
         instr: Instrumentation<'a>,
     ) -> Result<SimStats, SimError> {
-        let mut m = Machine::new(
-            &self.config,
-            self.mode,
-            self.faults,
-            self.watchdog,
-            self.cancel.as_deref(),
-            self.attribution,
-            instr,
-        );
-        m.run(source)
+        Machine::new(self, instr).run(source)
     }
 }
 
@@ -466,15 +425,8 @@ struct Machine<'a> {
 }
 
 impl<'a> Machine<'a> {
-    fn new(
-        cfg: &'a MachineConfig,
-        mode: ExecMode,
-        faults: FaultConfig,
-        watchdog: Option<u64>,
-        cancel: Option<&'a AtomicBool>,
-        attribution: bool,
-        instr: Instrumentation<'a>,
-    ) -> Self {
+    fn new(sim: &'a Simulator, instr: Instrumentation<'a>) -> Self {
+        let (cfg, mode, attribution) = (&sim.config, sim.mode, sim.attribution);
         let Instrumentation {
             tracer,
             metrics,
@@ -518,11 +470,11 @@ impl<'a> Machine<'a> {
                 }
                 irb
             }),
-            inj: FaultInjector::new(faults),
+            inj: FaultInjector::new(sim.faults),
             irb_fault_pc: FxHashMap::default(),
-            watchdog,
+            watchdog: sim.watchdog,
             attribution,
-            cancel,
+            cancel: sim.cancel.as_deref(),
             tracer,
             trace_on,
             metrics,

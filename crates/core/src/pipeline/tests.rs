@@ -888,13 +888,9 @@ fn last_store_map_is_pruned_as_stores_commit() {
         let mut source = EmulatorSource::new(&p, 10_000_000);
         let mut tracer = NullTracer;
         let mut metrics = NullMetrics;
+        let sim = Simulator::new(cfg.clone(), mode);
         let mut m = Machine::new(
-            &cfg,
-            mode,
-            FaultConfig::none(),
-            None,
-            None,
-            false,
+            &sim,
             Instrumentation {
                 tracer: &mut tracer,
                 metrics: &mut metrics,

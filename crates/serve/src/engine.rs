@@ -45,8 +45,6 @@ pub struct EngineOptions {
     pub retry: RetryPolicy,
     /// Host wall-clock deadline per attempt, if any.
     pub host_deadline: Option<Duration>,
-    /// Instruction budget for trace materialization.
-    pub trace_budget: u64,
 }
 
 impl Default for EngineOptions {
@@ -56,7 +54,6 @@ impl Default for EngineOptions {
             fsync: FsyncPolicy::default(),
             retry: RetryPolicy::default(),
             host_deadline: None,
-            trace_budget: DEFAULT_TRACE_BUDGET,
         }
     }
 }
@@ -724,7 +721,7 @@ fn worker_loop(shared: &Shared) {
 /// function of the spec — the byte-identity property rests here.
 fn run_spec(shared: &Shared, spec: &JobSpec) -> (String, bool) {
     let fp = spec.fingerprint_hex();
-    let trace = match shared.store.get(spec, shared.opts.trace_budget) {
+    let trace = match shared.store.get(spec, DEFAULT_TRACE_BUDGET) {
         Ok((trace, _origin)) => trace,
         Err(e) => {
             let res = Json::obj()

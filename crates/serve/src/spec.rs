@@ -15,8 +15,9 @@ use redsim_util::Json;
 use redsim_workloads::{Params, Workload};
 
 /// Instruction budget handed to the functional emulator when a trace
-/// is materialized — the same ceiling the bench harness uses.
-pub const DEFAULT_TRACE_BUDGET: u64 = 200_000_000;
+/// is materialized: [`Workload::TRACE_BUDGET`], the ceiling every
+/// harness uses.
+pub const DEFAULT_TRACE_BUDGET: u64 = Workload::TRACE_BUDGET;
 
 /// A complete, deterministic description of one simulation job.
 #[derive(Debug, Clone)]

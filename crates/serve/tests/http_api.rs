@@ -28,7 +28,6 @@ fn test_dir(tag: &str) -> PathBuf {
 fn options() -> EngineOptions {
     EngineOptions {
         workers: 2,
-        trace_budget: 20_000_000,
         ..EngineOptions::default()
     }
 }

@@ -47,7 +47,6 @@ fn specs() -> Vec<JobSpec> {
 fn options(workers: usize) -> EngineOptions {
     EngineOptions {
         workers,
-        trace_budget: 20_000_000,
         ..EngineOptions::default()
     }
 }
@@ -153,7 +152,7 @@ fn repeat_submissions_never_reassemble_or_reemulate() {
     // The memory tier's gauge reports the trace recipe's real footprint:
     // its program's bytes.
     let program_bytes = Workload::Gzip
-        .trace(sie.params(), options(1).trace_budget)
+        .trace(sie.params(), Workload::TRACE_BUDGET)
         .expect("trace")
         .heap_bytes();
     let resident = format!("\nserve_trace_cache_resident_bytes {program_bytes}\n");

@@ -43,11 +43,7 @@ fn socket_path(tag: &str) -> PathBuf {
 }
 
 fn open(dir: &Path) -> Arc<Engine> {
-    let opts = EngineOptions {
-        trace_budget: 20_000_000,
-        ..EngineOptions::default()
-    };
-    Arc::new(Engine::open(Arc::new(RealIo), dir, opts).expect("open engine"))
+    Arc::new(Engine::open(Arc::new(RealIo), dir, EngineOptions::default()).expect("open engine"))
 }
 
 /// Runs `serve` on its own thread; its result arrives on the channel.

@@ -221,6 +221,11 @@ impl Workload {
         assemble(&self.source(params))
     }
 
+    /// The instruction budget every harness, the service and the command
+    /// line tools hand to [`Workload::trace`] and the functional emulator:
+    /// a runaway backstop far above any kernel's dynamic length.
+    pub const TRACE_BUDGET: u64 = 200_000_000;
+
     /// Materializes the kernel's committed-path trace: assembles the
     /// generated source and runs the functional emulator to `halt`
     /// within `budget` instructions once, counting what it commits. The

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Full offline verification: formatting, lints, release build, the test
-# suite, an end-to-end figure smoke, a bench smoke that exercises the
-# perf-baseline writer, and a build of the benchmark/ package. Run from
+# suite, the end-to-end smokes, a bench smoke that exercises the
+# perf-baseline writer and byte-compares every figure's quick golden at
+# one and at eight threads, and a build of the benchmark/ package. Run from
 # anywhere; no network access is needed (the workspace has zero
 # external dependencies).
 #
 #   scripts/verify.sh               # everything
-#   scripts/verify.sh bench-smoke   # only the bench + determinism smoke
+#   scripts/verify.sh bench-smoke   # only the bench + golden/threads smoke
 #                                   # (assumes a release build exists)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,24 +21,6 @@ run() {
 # strip them before any byte-identical comparison.
 strip_perf() {
     sed -E 's/,"perf":\{[^{}]*\}//'
-}
-
-figure_smoke() {
-    # One figure end-to-end: quick JSON run, and the parallel sweep must
-    # be byte-identical to the serial one (modulo the perf field).
-    echo "==> fig_recovery --quick --json determinism check"
-    local bin=target/release/fig_recovery
-    local one many
-    one=$("$bin" --quick --json --threads 1)
-    many=$("$bin" --quick --json --threads 8)
-    if [ "$(strip_perf <<<"$one")" != "$(strip_perf <<<"$many")" ]; then
-        echo "FAIL: --threads 8 output differs from --threads 1" >&2
-        exit 1
-    fi
-    case "$one" in
-        '{"title":'*'"perf":{"wall_seconds":'*) ;;
-        *) echo "FAIL: --json output shape is wrong: $one" >&2; exit 1 ;;
-    esac
 }
 
 bench_smoke() {
@@ -56,8 +39,10 @@ bench_smoke() {
 
     # Simulated stats must stay byte-identical to the committed
     # quick-mode goldens — the scheduling rewrite is a host-side
-    # optimization, never a model change.
-    echo "==> quick-mode figure goldens"
+    # optimization, never a model change — at one thread (the sweep runs
+    # inline) and at eight (the shared worker pool), so the pool can
+    # never change a result.
+    echo "==> quick-mode figure goldens at --threads 1 and 8"
     local fig
     # Every figure binary must have a golden, so a new figure cannot
     # skip the byte-compare below.
@@ -70,12 +55,21 @@ bench_smoke() {
         fi
     done
     for fig in results/quick/*.json; do
-        local name
+        local name threads json
         name=$(basename "$fig" .json)
-        if ! "target/release/$name" --quick --json --threads 1 \
-                | strip_perf | cmp -s - "$fig"; then
-            echo "FAIL: $name --quick --json differs from committed $fig" >&2
-            exit 1
+        for threads in 1 8; do
+            json=$("target/release/$name" --quick --json --threads "$threads")
+            if ! strip_perf <<<"$json" | cmp -s - "$fig"; then
+                echo "FAIL: $name --quick --json --threads $threads differs from committed $fig" >&2
+                exit 1
+            fi
+        done
+        # The --json shape: the title first, the wall-clock perf last.
+        if [ "$name" = fig_recovery ]; then
+            case "$json" in
+                '{"title":'*'"perf":{"wall_seconds":'*) ;;
+                *) echo "FAIL: --json output shape is wrong: $json" >&2; exit 1 ;;
+            esac
         fi
     done
 
@@ -616,7 +610,6 @@ run cargo clippy --offline --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 run cargo build --offline --release --workspace
 run cargo test --offline --workspace -q
-figure_smoke
 trace_smoke
 trace_file_smoke
 metrics_smoke

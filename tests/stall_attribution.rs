@@ -11,8 +11,8 @@
 //! cases replay exactly).
 
 use redsim::core::{
-    EventLog, ExecMode, FaultConfig, MachineConfig, SchedEngine, SimStats, Simulator, TraceEvent,
-    Tracer,
+    EventLog, ExecMode, FaultConfig, Instrumentation, MachineConfig, NullMetrics, SchedEngine,
+    SimStats, Simulator, TraceEvent, Tracer,
 };
 use redsim::isa::Program;
 use redsim_util::Rng;
@@ -166,14 +166,28 @@ fn tracing_is_observationally_pure_and_deterministic() {
             .expect("untraced run");
         let mut log_a = EventLog::new();
         let traced = Simulator::new(cfg.clone(), mode)
-            .run_program_traced(&program, &mut log_a)
+            .run_program_instrumented(
+                &program,
+                Instrumentation {
+                    tracer: &mut log_a,
+                    metrics: &mut NullMetrics,
+                    profiler: None,
+                },
+            )
             .expect("traced run");
         assert_eq!(untraced, traced, "{mode:?}: tracing changed the stats");
         assert!(!log_a.is_empty(), "{mode:?}: a real run produces events");
 
         let mut log_b = EventLog::new();
         Simulator::new(cfg, mode)
-            .run_program_traced(&program, &mut log_b)
+            .run_program_instrumented(
+                &program,
+                Instrumentation {
+                    tracer: &mut log_b,
+                    metrics: &mut NullMetrics,
+                    profiler: None,
+                },
+            )
             .expect("second traced run");
         assert_eq!(
             log_a.to_chrome_json().to_string(),
@@ -205,7 +219,14 @@ fn traced_commits_account_for_every_productive_cycle() {
             cycles: std::collections::BTreeSet::new(),
         };
         let s = Simulator::new(MachineConfig::tiny(), mode)
-            .run_program_traced(&program, &mut t)
+            .run_program_instrumented(
+                &program,
+                Instrumentation {
+                    tracer: &mut t,
+                    metrics: &mut NullMetrics,
+                    profiler: None,
+                },
+            )
             .expect("traced run");
         assert_eq!(
             t.cycles.len() as u64,
