@@ -16,14 +16,15 @@
 //! strike rate of every scenario that injects at the matching site
 //! (rejected with a clear message if the rate is not in `[0, 1]`).
 //! `--seeds N` replicates every scenario across `N` independent fault
-//! seeds and reports mean±stddev per column.
+//! seeds and reports mean±stddev per column; `--metrics-window` is
+//! refused with exit 2.
 
-use redsim_bench::{apply_rate_overrides, finish, pm, Cli, Harness, Job, Table};
+use redsim_bench::{apply_rate_overrides, finish, grid, pm, Harness, Job, Table};
 use redsim_core::{ExecMode, FaultConfig, MachineConfig, SimStats};
 use redsim_workloads::Workload;
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = grid::parse_cli(&["--seeds"]);
     let mut h = Harness::new(cli.quick);
     let base = MachineConfig::paper_baseline();
     let apps = [

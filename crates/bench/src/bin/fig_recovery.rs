@@ -7,20 +7,41 @@
 //! IPC loss and ~23% of the overall IPC loss, on average.
 //!
 //! `--forwarding per-stream` runs the ablation where the IRB keeps
-//! per-stream forwarding (the issue-window complexity the paper avoids).
+//! per-stream forwarding (the issue-window complexity the paper avoids);
+//! `--forwarding shared` is the default, and any other value exits 2.
 //! `--seeds N` replicates every workload across `N` independent input
 //! seeds (distinct generated inputs, hence distinct traces) and reports
-//! mean±stddev per cell.
+//! mean±stddev per cell; `--metrics-window` is refused with exit 2.
 
-use redsim_bench::{finish, mean, pct, pm, Cli, Harness, Job, Table};
+use redsim_bench::{finish, grid, mean, pct, pm, Cli, Harness, Job, Table};
 use redsim_core::{ExecMode, ForwardingPolicy, MachineConfig};
 use redsim_workloads::Workload;
 
 const MODES: usize = 4;
 
+/// Whether `--forwarding` asks for per-stream forwarding. It takes the
+/// two spellings `redsim-sim --forwarding` does: `shared` (the default)
+/// and `per-stream`.
+fn per_stream_forwarding(cli: &Cli) -> Result<bool, String> {
+    if !cli.flag("--forwarding") {
+        return Ok(false);
+    }
+    match cli.value("--forwarding") {
+        Some("shared") => Ok(false),
+        Some("per-stream") => Ok(true),
+        v => Err(format!(
+            "--forwarding expects shared or per-stream, got {:?}",
+            v.unwrap_or("")
+        )),
+    }
+}
+
 fn main() {
-    let cli = Cli::parse();
-    let per_stream = cli.value("--forwarding") == Some("per-stream");
+    let cli = grid::parse_cli(&["--seeds"]);
+    let per_stream = per_stream_forwarding(&cli).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let mut h = Harness::new(cli.quick);
     let mut base = MachineConfig::paper_baseline();
     if per_stream {
@@ -127,4 +148,23 @@ fn main() {
         &h,
         &errors,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn forwarding_takes_only_the_two_spellings() {
+        let fwd = |a: &[&str]| {
+            per_stream_forwarding(&Cli::from_vec(a.iter().map(|s| (*s).to_owned()).collect()))
+        };
+        assert_eq!(fwd(&["--quick"]), Ok(false));
+        assert_eq!(fwd(&["--forwarding", "shared"]), Ok(false));
+        assert_eq!(fwd(&["--forwarding", "per-stream"]), Ok(true));
+        // Regression: a misspelling or a missing value used to run
+        // primary-to-both forwarding without a word.
+        assert!(fwd(&["--forwarding", "per_stream"]).is_err());
+        assert!(fwd(&["--forwarding"]).is_err());
+    }
 }

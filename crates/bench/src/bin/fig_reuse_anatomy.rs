@@ -8,8 +8,10 @@
 //! per-class counters, the aggregate `IrbSummary` totals they must sum
 //! to (the conservation contract `attribution-smoke` checks), and the
 //! per-loop breakdown.
+//!
+//! `--seeds` above 1 and `--metrics-window` are refused with exit 2.
 
-use redsim_bench::{finish, pct, Cli, Harness, Job, Table};
+use redsim_bench::{finish, grid, pct, Harness, Job, Table};
 use redsim_core::{
     attribution_to_json, AttrCounters, ExecMode, MachineConfig, SchedEngine, SimStats,
     REUSE_CLASSES, REUSE_CLASS_NAMES,
@@ -31,7 +33,7 @@ const ENGINES: [(&str, SchedEngine); 2] = [
 ];
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = grid::parse_cli(&[]);
     let mut h = Harness::new(cli.quick);
     let base = MachineConfig::paper_baseline();
 

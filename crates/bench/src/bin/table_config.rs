@@ -1,12 +1,13 @@
 //! The §4 base-machine configuration table, printed from the live
 //! `MachineConfig::paper_baseline()` so the docs can never drift from
-//! the code.
+//! the code. It runs no simulation: `--seeds` above 1 and
+//! `--metrics-window` are refused with exit 2.
 
-use redsim_bench::{Cli, Table};
+use redsim_bench::{grid, Table};
 use redsim_core::MachineConfig;
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = grid::parse_cli(&[]);
     let c = MachineConfig::paper_baseline();
     let mut t = Table::new(vec!["parameter", "value"]);
     t.row(vec![

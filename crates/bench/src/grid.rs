@@ -180,17 +180,31 @@ impl Figure {
     }
 }
 
-/// The shared flag a grid figure cannot honour, if `cli` sets one: a
-/// grid runs each declared job once, on default inputs, and reports no
-/// windowed series.
-fn unsupported_flag(cli: &Cli) -> Option<&'static str> {
-    if cli.seeds > 1 {
-        Some("--seeds")
-    } else if cli.metrics_window.is_some() {
-        Some("--metrics-window")
-    } else {
-        None
+/// The shared flag `cli` sets that a figure honouring only `honours`
+/// cannot: `--seeds` above 1 or any `--metrics-window`. A grid honours
+/// neither: it runs each declared job once, on default inputs, and
+/// reports no windowed series.
+fn unsupported_flag(cli: &Cli, honours: &[&str]) -> Option<&'static str> {
+    [
+        ("--seeds", cli.seeds > 1),
+        ("--metrics-window", cli.metrics_window.is_some()),
+    ]
+    .into_iter()
+    .find(|&(flag, set)| set && !honours.contains(&flag))
+    .map(|(flag, _)| flag)
+}
+
+/// Parses the shared command line of a figure that honours only
+/// `honours` of `--seeds` and `--metrics-window`; either of the others,
+/// when set, is refused with exit 2.
+#[must_use]
+pub fn parse_cli(honours: &[&str]) -> Cli {
+    let cli = Cli::parse();
+    if let Some(flag) = unsupported_flag(&cli, honours) {
+        eprintln!("error: this figure does not support {flag}");
+        std::process::exit(2);
     }
+    cli
 }
 
 /// The whole of a grid figure binary: parse the shared command line,
@@ -198,11 +212,7 @@ fn unsupported_flag(cli: &Cli) -> Option<&'static str> {
 /// 1 if any job failed. `--seeds` above 1 and `--metrics-window` are
 /// refused with exit 2.
 pub fn main(figure: Declaration) {
-    let cli = Cli::parse();
-    if let Some(flag) = unsupported_flag(&cli) {
-        eprintln!("error: this figure does not support {flag}");
-        std::process::exit(2);
-    }
+    let cli = parse_cli(&[]);
     let fig = figure();
     let mut h = Harness::new(cli.quick);
     let (results, errors) = h.try_sweep(&fig.jobs(&Workload::ALL), cli.threads);
@@ -228,11 +238,21 @@ mod tests {
 
     #[test]
     fn flags_a_grid_cannot_honour_are_named() {
-        let cli = |a: &[&str]| Cli::from_vec(a.iter().map(|s| (*s).to_owned()).collect());
-        assert_eq!(unsupported_flag(&cli(&["--quick", "--seeds", "1"])), None);
-        assert_eq!(unsupported_flag(&cli(&["--seeds", "3"])), Some("--seeds"));
+        let refused = |a: &[&str], honours: &[&str]| {
+            let cli = Cli::from_vec(a.iter().map(|s| (*s).to_owned()).collect());
+            unsupported_flag(&cli, honours)
+        };
+        assert_eq!(refused(&["--quick", "--seeds", "1"], &[]), None);
+        assert_eq!(refused(&["--seeds", "3"], &[]), Some("--seeds"));
         assert_eq!(
-            unsupported_flag(&cli(&["--metrics-window", "100"])),
+            refused(&["--metrics-window", "100"], &[]),
+            Some("--metrics-window")
+        );
+        // fig_recovery and fig_faults replicate across seeds but still
+        // report no windowed series.
+        assert_eq!(refused(&["--seeds", "3"], &["--seeds"]), None);
+        assert_eq!(
+            refused(&["--seeds", "3", "--metrics-window", "9"], &["--seeds"]),
             Some("--metrics-window")
         );
     }

@@ -61,7 +61,6 @@ use redsim_isa::trace::Trace;
 use redsim_util::Json;
 use redsim_workloads::{Params, Workload};
 
-pub mod diff;
 pub mod figures;
 pub mod grid;
 
@@ -125,6 +124,24 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// The positive number following `flag`, or `None` when `flag` is
+/// absent. A value that is missing (`flag` is the last argument), zero
+/// or not a number is the error `invalid` builds from it.
+fn positive_flag<T: std::str::FromStr + PartialOrd + Default>(
+    args: &[String],
+    flag: &str,
+    invalid: fn(String) -> CliError,
+) -> Result<Option<T>, CliError> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let v = args.get(i + 1).map_or("", String::as_str);
+    match v.parse() {
+        Ok(n) if n > T::default() => Ok(Some(n)),
+        _ => Err(invalid(v.to_owned())),
+    }
+}
+
 /// Truthiness of an environment flag: unset, empty, `0` and `false`
 /// (ASCII case-insensitive) are off; anything else is on.
 /// `REDSIM_QUICK=0` must mean *off* — the old `var_os(..).is_some()`
@@ -169,35 +186,17 @@ impl Cli {
     /// # Errors
     ///
     /// [`CliError`] when `--threads`, `--seeds` or `--metrics-window`
-    /// is zero or not an integer.
+    /// has no value, or a value that is zero or not an integer.
     pub fn try_from_vec(args: Vec<String>) -> Result<Self, CliError> {
         let quick = args.iter().any(|a| a == "--quick") || env_flag("REDSIM_QUICK");
         let json = args.iter().any(|a| a == "--json");
-        let threads = match args.windows(2).find(|w| w[0] == "--threads") {
-            Some(w) => w[1]
-                .parse()
-                .ok()
-                .filter(|&n: &usize| n > 0)
-                .ok_or_else(|| CliError::InvalidThreads(w[1].clone()))?,
-            None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        };
-        let seeds = match args.windows(2).find(|w| w[0] == "--seeds") {
-            Some(w) => w[1]
-                .parse()
-                .ok()
-                .filter(|&n: &u32| n > 0)
-                .ok_or_else(|| CliError::InvalidSeeds(w[1].clone()))?,
-            None => 1,
-        };
-        let metrics_window = match args.windows(2).find(|w| w[0] == "--metrics-window") {
-            Some(w) => Some(
-                w[1].parse()
-                    .ok()
-                    .filter(|&n: &u64| n > 0)
-                    .ok_or_else(|| CliError::InvalidMetricsWindow(w[1].clone()))?,
-            ),
-            None => None,
-        };
+        let threads =
+            positive_flag(&args, "--threads", CliError::InvalidThreads)?.unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            });
+        let seeds = positive_flag(&args, "--seeds", CliError::InvalidSeeds)?.unwrap_or(1);
+        let metrics_window =
+            positive_flag(&args, "--metrics-window", CliError::InvalidMetricsWindow)?;
         Ok(Cli {
             quick,
             json,
@@ -1247,6 +1246,26 @@ mod tests {
         );
         let e = CliError::InvalidMetricsWindow("0".into());
         assert!(e.to_string().contains("--metrics-window"));
+    }
+
+    #[test]
+    fn cli_rejects_a_numeric_flag_without_a_value() {
+        // Regression: a numeric flag given as the last argument matched
+        // no `--flag value` pair, so `fig2 --threads` ran the default
+        // (every core) instead of failing.
+        let args = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        assert_eq!(
+            Cli::try_from_vec(args(&["--quick", "--threads"])).err(),
+            Some(CliError::InvalidThreads(String::new()))
+        );
+        assert_eq!(
+            Cli::try_from_vec(args(&["--seeds"])).err(),
+            Some(CliError::InvalidSeeds(String::new()))
+        );
+        assert_eq!(
+            Cli::try_from_vec(args(&["--threads", "2", "--metrics-window"])).err(),
+            Some(CliError::InvalidMetricsWindow(String::new()))
+        );
     }
 
     #[test]

@@ -338,7 +338,10 @@ fn a_failed_append_stops_the_campaign_appending_further_shards() {
         writes: Arc::clone(&writes),
     });
     match run_campaign(&spec, &o) {
-        Err(CampaignError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull, "{e}"),
+        Err(CampaignError::Io(e)) => {
+            assert_eq!(e.kind(), io::ErrorKind::StorageFull, "{e}");
+            assert_eq!(e.raw_os_error(), Some(28), "the errno survives the latch");
+        }
         other => panic!("expected the append's Io error, got {other:?}"),
     }
     assert_eq!(

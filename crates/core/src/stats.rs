@@ -149,9 +149,9 @@ pub fn attribution_to_json(a: &ReuseAttribution) -> Json {
 }
 
 /// Wall-clock throughput of one or more timing-simulation runs: how
-/// fast the *host* chews through simulated work (the perf-trajectory
-/// metric recorded in `BENCH_simulator.json`), as opposed to the
-/// simulated machine's own IPC.
+/// fast the *host* chews through simulated work (the `"perf"` field of
+/// a figure's `--json` output), as opposed to the simulated machine's
+/// own IPC.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Throughput {
     /// Host seconds spent inside the timing simulation.

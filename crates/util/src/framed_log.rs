@@ -208,7 +208,8 @@ impl Appender {
         }
     }
 
-    /// The latched error, if any (same kind and message).
+    /// The latched error, if any: the same OS error code when it had
+    /// one, otherwise the same kind and message.
     ///
     /// # Panics
     ///
@@ -217,7 +218,10 @@ impl Appender {
     pub fn error(&self) -> Option<io::Error> {
         let slot = self.file.lock().expect("appender lock");
         let e = slot.as_ref().err()?;
-        Some(io::Error::new(e.kind(), e.to_string()))
+        Some(match e.raw_os_error() {
+            Some(code) => io::Error::from_raw_os_error(code),
+            None => io::Error::new(e.kind(), e.to_string()),
+        })
     }
 }
 

@@ -3,9 +3,9 @@
 //! The in-tree replacement for criterion: the `cargo bench` targets of
 //! `redsim-bench` are plain binaries that call [`fn@bench`] per case and
 //! print one aligned line each. No statistics beyond min/mean/max are
-//! attempted — the simulator's benches run millions of simulated cycles
-//! per iteration, so run-to-run noise is small relative to the effects
-//! the benches guard against.
+//! attempted: these lines are for reading, and no gate compares them.
+//! Performance changes are judged over repeated parent/change pairs by
+//! the `benchmark/` package's `compare`.
 
 use std::time::{Duration, Instant};
 
