@@ -11,10 +11,11 @@
 //! `--forwarding shared` is the default, and any other value exits 2.
 //! `--seeds N` replicates every workload across `N` independent input
 //! seeds (distinct generated inputs, hence distinct traces) and reports
-//! mean±stddev per cell; `--metrics-window` is refused with exit 2.
+//! mean±stddev per cell (`RECOVERY_CLI`).
 
-use redsim_bench::{finish, grid, mean, pct, pm, Cli, Harness, Job, Table};
+use redsim_bench::{finish, mean, pct, pm, Cli, Harness, Job, Table, RECOVERY_CLI};
 use redsim_core::{ExecMode, ForwardingPolicy, MachineConfig};
+use redsim_util::flags::FlagError;
 use redsim_workloads::Workload;
 
 const MODES: usize = 4;
@@ -22,26 +23,18 @@ const MODES: usize = 4;
 /// Whether `--forwarding` asks for per-stream forwarding. It takes the
 /// two spellings `redsim-sim --forwarding` does: `shared` (the default)
 /// and `per-stream`.
-fn per_stream_forwarding(cli: &Cli) -> Result<bool, String> {
-    if !cli.flag("--forwarding") {
-        return Ok(false);
-    }
-    match cli.value("--forwarding") {
-        Some("shared") => Ok(false),
-        Some("per-stream") => Ok(true),
-        v => Err(format!(
-            "--forwarding expects shared or per-stream, got {:?}",
-            v.unwrap_or("")
-        )),
-    }
+fn per_stream_forwarding(cli: &Cli) -> Result<bool, FlagError> {
+    let policy = cli.flags.map("--forwarding", |v| match v {
+        "shared" => Ok(false),
+        "per-stream" => Ok(true),
+        _ => Err("expects shared or per-stream".to_owned()),
+    })?;
+    Ok(policy.unwrap_or(false))
 }
 
 fn main() {
-    let cli = grid::parse_cli(&["--seeds"]);
-    let per_stream = per_stream_forwarding(&cli).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let cli = Cli::parse(&RECOVERY_CLI);
+    let per_stream = cli.flags.or_exit(per_stream_forwarding(&cli));
     let mut h = Harness::new(cli.quick);
     let mut base = MachineConfig::paper_baseline();
     if per_stream {
@@ -157,7 +150,8 @@ mod tests {
     #[test]
     fn forwarding_takes_only_the_two_spellings() {
         let fwd = |a: &[&str]| {
-            per_stream_forwarding(&Cli::from_vec(a.iter().map(|s| (*s).to_owned()).collect()))
+            let a: Vec<String> = a.iter().map(|s| (*s).to_owned()).collect();
+            per_stream_forwarding(&Cli::try_from_vec(&RECOVERY_CLI, &a)?)
         };
         assert_eq!(fwd(&["--quick"]), Ok(false));
         assert_eq!(fwd(&["--forwarding", "shared"]), Ok(false));
@@ -165,6 +159,9 @@ mod tests {
         // Regression: a misspelling or a missing value used to run
         // primary-to-both forwarding without a word.
         assert!(fwd(&["--forwarding", "per_stream"]).is_err());
-        assert!(fwd(&["--forwarding"]).is_err());
+        assert_eq!(
+            fwd(&["--forwarding"]),
+            Err(FlagError::MissingValue("--forwarding"))
+        );
     }
 }

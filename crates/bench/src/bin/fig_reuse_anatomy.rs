@@ -9,9 +9,9 @@
 //! to (the conservation contract `attribution-smoke` checks), and the
 //! per-loop breakdown.
 //!
-//! `--seeds` above 1 and `--metrics-window` are refused with exit 2.
+//! Its command line is the shared `FIGURE_CLI`.
 
-use redsim_bench::{finish, grid, pct, Harness, Job, Table};
+use redsim_bench::{finish, pct, Cli, Harness, Job, Table, FIGURE_CLI};
 use redsim_core::{
     attribution_to_json, AttrCounters, ExecMode, MachineConfig, SchedEngine, SimStats,
     REUSE_CLASSES, REUSE_CLASS_NAMES,
@@ -33,7 +33,7 @@ const ENGINES: [(&str, SchedEngine); 2] = [
 ];
 
 fn main() {
-    let cli = grid::parse_cli(&[]);
+    let cli = Cli::parse(&FIGURE_CLI);
     let mut h = Harness::new(cli.quick);
     let base = MachineConfig::paper_baseline();
 

@@ -1,13 +1,13 @@
 //! The §4 base-machine configuration table, printed from the live
 //! `MachineConfig::paper_baseline()` so the docs can never drift from
-//! the code. It runs no simulation: `--seeds` above 1 and
-//! `--metrics-window` are refused with exit 2.
+//! the code. It runs no simulation, but takes the shared
+//! `FIGURE_CLI` command line like every figure.
 
-use redsim_bench::{grid, Table};
+use redsim_bench::{Cli, Table, FIGURE_CLI};
 use redsim_core::MachineConfig;
 
 fn main() {
-    let cli = grid::parse_cli(&[]);
+    let cli = Cli::parse(&FIGURE_CLI);
     let c = MachineConfig::paper_baseline();
     let mut t = Table::new(vec!["parameter", "value"]);
     t.row(vec![

@@ -3,7 +3,7 @@
 //! A [`Figure`] is what a figure binary would otherwise spell out by
 //! hand: the `(mode, config)` runs every workload goes through, in
 //! order, and the table columns computed from one workload's runs.
-//! [`main`] owns the rest — the shared command line, the [`Job`] list
+//! [`main`] owns the rest — the command line, the [`Job`] list
 //! over [`Workload::ALL`], [`Harness::try_sweep`], one row per workload
 //! plus the mean row, [`finish`] and the exit code — so a grid figure
 //! binary is its declaration in [`crate::figures`] plus one line.
@@ -11,7 +11,7 @@
 use redsim_core::{ExecMode, MachineConfig, SimStats};
 use redsim_workloads::Workload;
 
-use crate::{finish, ipc, mean, pct, Cli, Harness, Job, Table};
+use crate::{finish, ipc, mean, pct, Cli, Harness, Job, Table, FIGURE_CLI};
 
 /// How a column prints its values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,39 +180,11 @@ impl Figure {
     }
 }
 
-/// The shared flag `cli` sets that a figure honouring only `honours`
-/// cannot: `--seeds` above 1 or any `--metrics-window`. A grid honours
-/// neither: it runs each declared job once, on default inputs, and
-/// reports no windowed series.
-fn unsupported_flag(cli: &Cli, honours: &[&str]) -> Option<&'static str> {
-    [
-        ("--seeds", cli.seeds > 1),
-        ("--metrics-window", cli.metrics_window.is_some()),
-    ]
-    .into_iter()
-    .find(|&(flag, set)| set && !honours.contains(&flag))
-    .map(|(flag, _)| flag)
-}
-
-/// Parses the shared command line of a figure that honours only
-/// `honours` of `--seeds` and `--metrics-window`; either of the others,
-/// when set, is refused with exit 2.
-#[must_use]
-pub fn parse_cli(honours: &[&str]) -> Cli {
-    let cli = Cli::parse();
-    if let Some(flag) = unsupported_flag(&cli, honours) {
-        eprintln!("error: this figure does not support {flag}");
-        std::process::exit(2);
-    }
-    cli
-}
-
-/// The whole of a grid figure binary: parse the shared command line,
-/// sweep `figure`'s runs over every workload, print the table and exit
-/// 1 if any job failed. `--seeds` above 1 and `--metrics-window` are
-/// refused with exit 2.
+/// The whole of a grid figure binary: parse the [`FIGURE_CLI`]
+/// command line, sweep `figure`'s runs over every workload, print the
+/// table and exit 1 if any job failed.
 pub fn main(figure: Declaration) {
-    let cli = parse_cli(&[]);
+    let cli = Cli::parse(&FIGURE_CLI);
     let fig = figure();
     let mut h = Harness::new(cli.quick);
     let (results, errors) = h.try_sweep(&fig.jobs(&Workload::ALL), cli.threads);
@@ -224,6 +196,7 @@ pub fn main(figure: Declaration) {
 mod tests {
     use super::*;
     use crate::figures::ALL;
+    use redsim_util::flags::FlagError;
 
     #[test]
     fn every_column_reads_a_declared_run() {
@@ -238,23 +211,20 @@ mod tests {
 
     #[test]
     fn flags_a_grid_cannot_honour_are_named() {
-        let refused = |a: &[&str], honours: &[&str]| {
-            let cli = Cli::from_vec(a.iter().map(|s| (*s).to_owned()).collect());
-            unsupported_flag(&cli, honours)
+        // A grid runs each declared job once, on default inputs, and
+        // reports no windowed series, so its table leaves out `--seeds`
+        // and `--metrics-window`: even `--seeds 1` is refused.
+        let refused = |a: &[&str]| {
+            let a: Vec<String> = a.iter().map(|s| (*s).to_owned()).collect();
+            Cli::try_from_vec(&FIGURE_CLI, &a).err()
         };
-        assert_eq!(refused(&["--quick", "--seeds", "1"], &[]), None);
-        assert_eq!(refused(&["--seeds", "3"], &[]), Some("--seeds"));
-        assert_eq!(
-            refused(&["--metrics-window", "100"], &[]),
-            Some("--metrics-window")
-        );
-        // fig_recovery and fig_faults replicate across seeds but still
-        // report no windowed series.
-        assert_eq!(refused(&["--seeds", "3"], &["--seeds"]), None);
-        assert_eq!(
-            refused(&["--seeds", "3", "--metrics-window", "9"], &["--seeds"]),
-            Some("--metrics-window")
-        );
+        assert!(refused(&["--quick", "--threads", "2"]).is_none());
+        for flag in ["--seeds", "--metrics-window", "--qiuck"] {
+            assert_eq!(
+                refused(&["--quick", flag, "1"]),
+                Some(FlagError::Unknown(flag.to_owned()))
+            );
+        }
     }
 
     #[test]

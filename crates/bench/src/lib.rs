@@ -23,7 +23,9 @@
 //! | `fig_fidelity`     | wrong-path fetch + store-to-load forwarding sensitivity |
 //! | `fig_reuse_anatomy`| where reuse comes from: opcode class x loop structure |
 //!
-//! All binaries share one command line (see [`Cli`]):
+//! Every binary parses its [`FlagTable`] into a [`Cli`]: the
+//! [`SHARED_FLAGS`] plus the flags it honours of its own, so a flag it
+//! does not declare exits 2 (`--help` prints the table):
 //!
 //! * `--quick` (or `REDSIM_QUICK=1`) — run the tiny workload instances;
 //! * `--json` — emit the result table as a JSON object instead of text;
@@ -58,13 +60,43 @@ use redsim_core::{
     WindowSample,
 };
 use redsim_isa::trace::Trace;
+use redsim_util::flags::{self, Flag, FlagError, FlagTable, Parsed};
 use redsim_util::Json;
 use redsim_workloads::{Params, Workload};
 
 pub mod figures;
 pub mod grid;
 
-/// Shared command line of the figure binaries.
+/// The flags every figure binary takes.
+#[rustfmt::skip]
+pub const SHARED_FLAGS: [Flag; 3] = [
+    Flag::switch("--quick", "run the tiny workload instances (also REDSIM_QUICK=1)"),
+    Flag::switch("--json", "print the result as one JSON object"),
+    Flag::value("--threads", "N", "worker threads (default: every core)"),
+];
+/// `--seeds N`, for the figures that replicate across input seeds.
+pub const SEEDS_FLAG: Flag = Flag::value("--seeds", "N", "replicas per cell (default 1)");
+/// The strike-rate overrides read by [`apply_rate_overrides`].
+#[rustfmt::skip]
+pub const RATE_FLAGS: [Flag; 3] = [
+    Flag::value("--fu-rate", "R", "strike rate of the scenarios hitting FUs"),
+    Flag::value("--forward-rate", "R", "strike rate of the forwarding-bus scenarios"),
+    Flag::value("--irb-rate", "R", "strike rate of the IRB scenarios"),
+];
+/// The grid figures, `fig_reuse_anatomy` and `table_config`.
+pub const FIGURE_CLI: FlagTable = FlagTable::new("[options]", 0, &[&SHARED_FLAGS]);
+/// `fig_recovery`.
+#[rustfmt::skip]
+pub const RECOVERY_CLI: FlagTable = FlagTable::new("[options]", 0, &[&SHARED_FLAGS, &[
+    SEEDS_FLAG,
+    Flag::value("--forwarding", "shared|per-stream", "IRB forwarding policy (default shared)"),
+]]);
+/// `fig_faults`.
+pub const FAULTS_CLI: FlagTable =
+    FlagTable::new("[options]", 0, &[&SHARED_FLAGS, &[SEEDS_FLAG], &RATE_FLAGS]);
+
+/// The command line of a figure binary: the [`SHARED_FLAGS`] read into
+/// fields, the rest of its table through [`Cli::flags`].
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Run tiny workload instances (`--quick` or `REDSIM_QUICK=1`).
@@ -77,69 +109,13 @@ pub struct Cli {
     /// Figure binaries that support it report mean ± stddev columns.
     pub seeds: u32,
     /// Windowed-metrics sampling period in simulated cycles
-    /// (`--metrics-window N`), for the binaries that forward it into
-    /// [`Job::with_metrics_window`]. `None` when the flag is absent —
-    /// each binary picks its own default. Zero is rejected at the front
-    /// door: a zero-cycle window reaches the sampler as a degenerate
-    /// tiling, never a useful series.
+    /// (`--metrics-window N`), for the binaries that declare it. `None`
+    /// when the flag is absent — each binary picks its own default.
+    /// Zero is rejected at the front door: a zero-cycle window reaches
+    /// the sampler as a degenerate tiling, never a useful series.
     pub metrics_window: Option<u64>,
-    args: Vec<String>,
-}
-
-/// A rejected shared-CLI argument. The binaries print the message and
-/// exit 2 — the same typed-error path `FaultConfig::validate` feeds —
-/// instead of silently substituting a default.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CliError {
-    /// `--threads` needs a positive integer (0 used to be clamped to 1
-    /// deep inside the sweep; it is a usage error and is rejected at
-    /// the front door).
-    InvalidThreads(String),
-    /// `--seeds` needs a positive integer.
-    InvalidSeeds(String),
-    /// `--metrics-window` needs a positive cycle count (0 used to leak
-    /// through as a zero-cycle window — a degenerate tiling the sampler
-    /// should never see).
-    InvalidMetricsWindow(String),
-}
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::InvalidThreads(v) => {
-                write!(f, "--threads expects a positive integer, got {v:?}")
-            }
-            CliError::InvalidSeeds(v) => {
-                write!(f, "--seeds expects a positive integer, got {v:?}")
-            }
-            CliError::InvalidMetricsWindow(v) => {
-                write!(
-                    f,
-                    "--metrics-window expects a positive cycle count, got {v:?}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CliError {}
-
-/// The positive number following `flag`, or `None` when `flag` is
-/// absent. A value that is missing (`flag` is the last argument), zero
-/// or not a number is the error `invalid` builds from it.
-fn positive_flag<T: std::str::FromStr + PartialOrd + Default>(
-    args: &[String],
-    flag: &str,
-    invalid: fn(String) -> CliError,
-) -> Result<Option<T>, CliError> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let v = args.get(i + 1).map_or("", String::as_str);
-    match v.parse() {
-        Ok(n) if n > T::default() => Ok(Some(n)),
-        _ => Err(invalid(v.to_owned())),
-    }
+    /// The parsed command line, for the binary's own flags.
+    pub flags: Parsed,
 }
 
 /// Truthiness of an environment flag: unset, empty, `0` and `false`
@@ -160,89 +136,46 @@ fn env_value_enabled(value: Option<&std::ffi::OsStr>) -> bool {
 }
 
 impl Cli {
-    /// Parses the process arguments; invalid values print the
-    /// [`CliError`] and exit with code 2.
+    /// Parses the process arguments against `table`; an error prints
+    /// the usage and exits 2, `--help` prints it and exits 0.
     #[must_use]
-    pub fn parse() -> Self {
-        Self::try_from_vec(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
+    pub fn parse(table: &FlagTable) -> Self {
+        Self::try_from_vec(table, &flags::args()).unwrap_or_else(|e| table.fail(&e))
     }
 
-    /// Parses an explicit argument vector (for tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on arguments [`Cli::try_from_vec`] rejects.
-    #[must_use]
-    pub fn from_vec(args: Vec<String>) -> Self {
-        Self::try_from_vec(args).expect("valid shared CLI arguments")
-    }
-
-    /// Parses an explicit argument vector, rejecting invalid values
-    /// with a typed error instead of substituting defaults.
+    /// Parses an explicit argument vector against `table`.
     ///
     /// # Errors
     ///
-    /// [`CliError`] when `--threads`, `--seeds` or `--metrics-window`
-    /// has no value, or a value that is zero or not an integer.
-    pub fn try_from_vec(args: Vec<String>) -> Result<Self, CliError> {
-        let quick = args.iter().any(|a| a == "--quick") || env_flag("REDSIM_QUICK");
-        let json = args.iter().any(|a| a == "--json");
-        let threads =
-            positive_flag(&args, "--threads", CliError::InvalidThreads)?.unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-        let seeds = positive_flag(&args, "--seeds", CliError::InvalidSeeds)?.unwrap_or(1);
-        let metrics_window =
-            positive_flag(&args, "--metrics-window", CliError::InvalidMetricsWindow)?;
+    /// The [`FlagError`] of the first refused argument, including a
+    /// `--threads`, `--seeds` or `--metrics-window` that is zero or not
+    /// an integer.
+    pub fn try_from_vec(table: &FlagTable, args: &[String]) -> Result<Self, FlagError> {
+        let flags = table.parse(args)?;
         Ok(Cli {
-            quick,
-            json,
-            threads,
-            seeds,
-            metrics_window,
-            args,
+            quick: flags.has("--quick") || env_flag("REDSIM_QUICK"),
+            json: flags.has("--json"),
+            threads: flags.positive("--threads")?.unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            }),
+            seeds: flags.positive("--seeds")?.unwrap_or(1),
+            metrics_window: flags.positive("--metrics-window")?,
+            flags,
         })
-    }
-
-    /// Whether a bare flag (e.g. `--verbose`) is present.
-    #[must_use]
-    pub fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
-    }
-
-    /// The value following a `--key value` pair, if present.
-    #[must_use]
-    pub fn value(&self, name: &str) -> Option<&str> {
-        self.args
-            .windows(2)
-            .find(|w| w[0] == name)
-            .map(|w| w[1].as_str())
     }
 }
 
 /// Applies the fault figures' `--fu-rate`, `--forward-rate` and
-/// `--irb-rate` overrides to every scenario that strikes at the matching
-/// site, then validates each configuration up front, so a bad rate fails
-/// fast instead of mid-sweep. A value that is not a number, or a rate
-/// [`FaultConfig::validate`] rejects, prints an error naming it and
-/// exits 2.
+/// `--irb-rate` overrides ([`RATE_FLAGS`]) to every scenario that
+/// strikes at the matching site, then validates each configuration up
+/// front, so a bad rate fails fast instead of mid-sweep. A value that is
+/// not a number, or a rate [`FaultConfig::validate`] rejects, prints an
+/// error naming it and exits 2.
 pub fn apply_rate_overrides<'a>(
     cli: &Cli,
     scenarios: impl IntoIterator<Item = (&'a str, &'a mut FaultConfig)>,
 ) {
-    let rate = |flag: &str| {
-        let v = cli.value(flag)?;
-        match v.parse::<f64>() {
-            Ok(x) => Some(x),
-            Err(_) => {
-                eprintln!("error: {flag} expects a number, got {v:?}");
-                std::process::exit(2);
-            }
-        }
-    };
+    let rate = |flag| cli.flags.or_exit(cli.flags.get::<f64>(flag));
     let (fu, fwd, irb) = (
         rate("--fu-rate"),
         rate("--forward-rate"),
@@ -1158,27 +1091,43 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    /// The shared flags plus `--seeds` and `--metrics-window`.
+    const ALL_SHARED: FlagTable = FlagTable {
+        synopsis: "",
+        positionals: 0,
+        flags: &[
+            &SHARED_FLAGS,
+            &[SEEDS_FLAG, Flag::value("--metrics-window", "N", "")],
+        ],
+    };
+
     #[test]
     fn cli_parses_shared_flags() {
-        let cli = Cli::from_vec(
-            [
+        let cli = Cli::try_from_vec(
+            &RECOVERY_CLI,
+            &args(&[
                 "--quick",
                 "--json",
                 "--threads",
                 "3",
                 "--forwarding",
                 "per-stream",
-            ]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect(),
-        );
+            ]),
+        )
+        .expect("valid");
         assert!(cli.quick);
         assert!(cli.json);
         assert_eq!(cli.threads, 3);
-        assert!(cli.flag("--quick"));
-        assert_eq!(cli.value("--forwarding"), Some("per-stream"));
-        assert_eq!(cli.value("--missing"), None);
+        assert_eq!(cli.flags.value("--forwarding"), Some("per-stream"));
+        // A flag the figure's table does not declare is refused.
+        assert_eq!(
+            Cli::try_from_vec(&FIGURE_CLI, &args(&["--forwarding", "shared"])).err(),
+            Some(FlagError::Unknown("--forwarding".into()))
+        );
     }
 
     #[test]
@@ -1201,27 +1150,23 @@ mod tests {
 
     #[test]
     fn cli_rejects_nonpositive_thread_and_seed_counts() {
-        let args = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        let refused = |v: &[&str]| match Cli::try_from_vec(&ALL_SHARED, &args(v)) {
+            Err(FlagError::Invalid { flag, value, .. }) => Some((flag, value)),
+            _ => None,
+        };
         assert_eq!(
-            Cli::try_from_vec(args(&["--threads", "0"])).err(),
-            Some(CliError::InvalidThreads("0".into()))
+            refused(&["--threads", "0"]),
+            Some(("--threads", "0".into()))
         );
         assert_eq!(
-            Cli::try_from_vec(args(&["--threads", "many"])).err(),
-            Some(CliError::InvalidThreads("many".into()))
+            refused(&["--threads", "many"]),
+            Some(("--threads", "many".into()))
         );
-        assert_eq!(
-            Cli::try_from_vec(args(&["--seeds", "0"])).err(),
-            Some(CliError::InvalidSeeds("0".into()))
-        );
-        assert_eq!(
-            Cli::try_from_vec(args(&["--seeds", "-3"])).err(),
-            Some(CliError::InvalidSeeds("-3".into()))
-        );
-        let ok = Cli::try_from_vec(args(&["--threads", "2", "--seeds", "3"])).expect("valid");
+        assert_eq!(refused(&["--seeds", "0"]), Some(("--seeds", "0".into())));
+        assert_eq!(refused(&["--seeds", "-3"]), Some(("--seeds", "-3".into())));
+        let ok = Cli::try_from_vec(&ALL_SHARED, &args(&["--threads", "2", "--seeds", "3"]))
+            .expect("valid");
         assert_eq!((ok.threads, ok.seeds), (2, 3));
-        let e = CliError::InvalidThreads("0".into());
-        assert!(e.to_string().contains("--threads"));
     }
 
     #[test]
@@ -1229,49 +1174,50 @@ mod tests {
         // Regression: `--metrics-window 0` used to flow through to the
         // sampler (or be silently reinterpreted per binary) instead of
         // being a typed usage error like `--threads 0` / `--seeds 0`.
-        let args = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
-        assert_eq!(
-            Cli::try_from_vec(args(&["--metrics-window", "0"])).err(),
-            Some(CliError::InvalidMetricsWindow("0".into()))
-        );
-        assert_eq!(
-            Cli::try_from_vec(args(&["--metrics-window", "lots"])).err(),
-            Some(CliError::InvalidMetricsWindow("lots".into()))
-        );
-        let ok = Cli::try_from_vec(args(&["--metrics-window", "512"])).expect("valid");
-        assert_eq!(ok.metrics_window, Some(512));
-        assert_eq!(
-            Cli::try_from_vec(vec![]).expect("valid").metrics_window,
-            None
-        );
-        let e = CliError::InvalidMetricsWindow("0".into());
-        assert!(e.to_string().contains("--metrics-window"));
+        for bad in ["0", "lots"] {
+            let e = Cli::try_from_vec(&ALL_SHARED, &args(&["--metrics-window", bad]));
+            assert!(
+                matches!(
+                    e,
+                    Err(FlagError::Invalid {
+                        flag: "--metrics-window",
+                        ..
+                    })
+                ),
+                "{bad}: {e:?}"
+            );
+        }
+        let ok = Cli::try_from_vec(&ALL_SHARED, &args(&["--metrics-window", "512"]));
+        assert_eq!(ok.expect("valid").metrics_window, Some(512));
+        let none = Cli::try_from_vec(&ALL_SHARED, &[]).expect("valid");
+        assert_eq!(none.metrics_window, None);
     }
 
     #[test]
     fn cli_rejects_a_numeric_flag_without_a_value() {
         // Regression: a numeric flag given as the last argument matched
         // no `--flag value` pair, so `fig2 --threads` ran the default
-        // (every core) instead of failing.
-        let args = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
-        assert_eq!(
-            Cli::try_from_vec(args(&["--quick", "--threads"])).err(),
-            Some(CliError::InvalidThreads(String::new()))
-        );
-        assert_eq!(
-            Cli::try_from_vec(args(&["--seeds"])).err(),
-            Some(CliError::InvalidSeeds(String::new()))
-        );
-        assert_eq!(
-            Cli::try_from_vec(args(&["--threads", "2", "--metrics-window"])).err(),
-            Some(CliError::InvalidMetricsWindow(String::new()))
-        );
+        // (every core) instead of failing; the same held for the rate
+        // overrides, so `fig_faults --fu-rate` ran the default rates.
+        for (table, v) in [
+            (&ALL_SHARED, &["--quick", "--threads"][..]),
+            (&ALL_SHARED, &["--seeds"]),
+            (&ALL_SHARED, &["--threads", "2", "--metrics-window"]),
+            (&FAULTS_CLI, &["--quick", "--threads", "2", "--fu-rate"]),
+        ] {
+            let e = Cli::try_from_vec(table, &args(v)).err();
+            assert!(
+                matches!(e, Some(FlagError::MissingValue(_))),
+                "{v:?}: {e:?}"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "valid shared CLI arguments")]
     fn from_vec_panics_on_rejected_arguments() {
-        let _ = Cli::from_vec(vec!["--threads".into(), "0".into()]);
+        let _ = Cli::try_from_vec(&FIGURE_CLI, &args(&["--threads", "0"]))
+            .expect("valid shared CLI arguments");
     }
 
     #[test]

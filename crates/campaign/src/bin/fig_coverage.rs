@@ -6,36 +6,13 @@
 //! JSONL manifest and `--resume` picks up a killed run, provably
 //! producing the byte-identical final report.
 //!
-//! Flags on top of the shared bench CLI (`--quick`, `--json`,
-//! `--threads N`, `--seeds N`):
-//!
-//! * `--out PATH` — base path for the campaign files (default
-//!   `target/campaign/fig_coverage`); the manifest lands at
-//!   `PATH.progress.jsonl`, the report at `PATH.report.json`;
-//! * `--resume` — skip shards the manifest already records;
-//! * `--interrupt-after K` — test hook: stop after `K` new shards with
-//!   exit code 3;
-//! * `--watchdog N` — per-shard deadline in simulated cycles (default
-//!   50,000,000; livelocked shards classify pending faults as `Hang`);
-//! * `--metrics-window N` — per-shard IPC time-series window in cycles
-//!   (default 10,000; must be positive — `0` is a usage error, exit 2);
-//! * `--fu-rate R` / `--forward-rate R` / `--irb-rate R` — override the
-//!   strike rate of scenarios injecting at that site (validated, bad
-//!   rates exit 2);
-//! * `--retry-max N` — attempts per shard before quarantine (default 3);
-//! * `--backoff-ms N` — base retry backoff in milliseconds (default 25,
-//!   doubling per attempt, capped at 1s);
-//! * `--host-deadline-ms N` — host wall-clock deadline per shard
-//!   attempt (default none; distinct from `--watchdog`, which bounds
-//!   *simulated* cycles);
-//! * `--fsync MODE` — manifest durability: `always`, `critical`
-//!   (default) or `never`;
-//! * `--chaos-seed S` — chaos harness: route all campaign IO through a
-//!   fault-injecting backend seeded with `S`;
-//! * `--chaos-rate R` — per-op fault rate for the chaos backend
-//!   (default 0.02);
-//! * `--chaos-kill-after N` — chaos harness: emulate a SIGKILL at the
-//!   `N`-th IO operation.
+//! Its flags are `redsim_campaign::COVERAGE_CLI`; `--help` prints them.
+//! The manifest lands at `<out>.progress.jsonl` and the report at
+//! `<out>.report.json`. `--watchdog` bounds simulated cycles (a
+//! livelocked shard's pending faults classify as `Hang`), while
+//! `--host-deadline-ms` bounds host time per attempt; `--backoff-ms`
+//! doubles per attempt, capped at 1 s. The `--chaos-*` flags route all
+//! campaign IO through a fault-injecting backend.
 //!
 //! Exit codes: 0 success; 1 failed shards; 2 usage/mismatch/corrupt
 //! manifest; 3 interrupted (resume to continue); 4 completed with
@@ -48,7 +25,7 @@ use std::time::Duration;
 use redsim_bench::{apply_rate_overrides, emit, pm, Cli, Table};
 use redsim_campaign::{
     exit_codes, run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignSpec,
-    HangDumpOptions, Scenario,
+    HangDumpOptions, Scenario, COVERAGE_CLI,
 };
 use redsim_core::{
     ExecMode, FaultConfig, ForwardingPolicy, StallBreakdown, StallSummary, Throughput,
@@ -96,18 +73,7 @@ fn spec_from_cli(cli: &Cli) -> CampaignSpec {
             .iter_mut()
             .map(|s| (s.name.as_str(), &mut s.faults)),
     );
-    let watchdog = match cli.value("--watchdog") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!("error: --watchdog expects a positive cycle count, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-        None => Some(50_000_000),
-    };
-    // Parsed and validated by the shared CLI (`Cli::try_from_vec`
-    // rejects 0 and non-integers at exit 2, like `--threads`).
+    let watchdog = cli.flags.or_exit(cli.flags.positive("--watchdog"));
     let metrics_window = Some(cli.metrics_window.unwrap_or(10_000));
     CampaignSpec {
         scenarios,
@@ -119,69 +85,54 @@ fn spec_from_cli(cli: &Cli) -> CampaignSpec {
         ],
         seeds: cli.seeds,
         quick: cli.quick,
-        watchdog,
+        watchdog: Some(watchdog.unwrap_or(50_000_000)),
         metrics_window,
     }
 }
 
-/// Parses an integer-valued flag or exits with the usage code.
-fn int_flag<T: std::str::FromStr>(cli: &Cli, flag: &str, what: &str) -> Option<T> {
-    cli.value(flag).map(|v| match v.parse::<T>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("error: {flag} expects {what}, got {v:?}");
-            std::process::exit(exit_codes::USAGE);
-        }
-    })
-}
-
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&COVERAGE_CLI);
     let spec = spec_from_cli(&cli);
-    let out = PathBuf::from(cli.value("--out").unwrap_or("target/campaign/fig_coverage"));
+    let flags = &cli.flags;
+    let out = PathBuf::from(
+        flags
+            .value("--out")
+            .unwrap_or("target/campaign/fig_coverage"),
+    );
     let mut opts = CampaignOptions::new(
         out.with_extension("progress.jsonl"),
         out.with_extension("report.json"),
     );
     opts.threads = cli.threads;
-    opts.resume = cli.flag("--resume");
-    opts.interrupt_after = int_flag(&cli, "--interrupt-after", "a shard count");
+    opts.resume = flags.has("--resume");
+    opts.interrupt_after = flags.or_exit(flags.get("--interrupt-after"));
     opts.hang_dumps = Some(HangDumpOptions {
         base: out.clone(),
         capacity: 1 << 15,
     });
-    if let Some(n) = int_flag::<u32>(&cli, "--retry-max", "a positive attempt count") {
-        if n == 0 {
-            eprintln!("error: --retry-max expects a positive attempt count, got \"0\"");
-            std::process::exit(exit_codes::USAGE);
-        }
+    if let Some(n) = flags.or_exit(flags.positive("--retry-max")) {
         opts.retry.max_attempts = n;
     }
-    if let Some(ms) = int_flag::<u64>(&cli, "--backoff-ms", "milliseconds") {
+    if let Some(ms) = flags.or_exit(flags.get("--backoff-ms")) {
         opts.retry.backoff = Duration::from_millis(ms);
     }
-    opts.host_deadline =
-        int_flag::<u64>(&cli, "--host-deadline-ms", "milliseconds").map(Duration::from_millis);
-    if let Some(mode) = cli.value("--fsync") {
-        opts.fsync = FsyncPolicy::parse(mode).unwrap_or_else(|| {
-            eprintln!("error: --fsync expects always|critical|never, got {mode:?}");
-            std::process::exit(exit_codes::USAGE);
-        });
+    opts.host_deadline = flags
+        .or_exit(flags.get("--host-deadline-ms"))
+        .map(Duration::from_millis);
+    let fsync = flags.map("--fsync", |m| {
+        FsyncPolicy::parse(m).ok_or_else(|| "expects always|critical|never".to_owned())
+    });
+    if let Some(policy) = flags.or_exit(fsync) {
+        opts.fsync = policy;
     }
-    if let Some(seed) = int_flag::<u64>(&cli, "--chaos-seed", "a seed") {
-        let rate = match cli.value("--chaos-rate") {
-            None => 0.02,
-            Some(v) => match v.parse::<f64>() {
-                Ok(r) if (0.0..=1.0).contains(&r) => r,
-                _ => {
-                    eprintln!("error: --chaos-rate expects a rate in [0,1], got {v:?}");
-                    std::process::exit(exit_codes::USAGE);
-                }
-            },
-        };
+    if let Some(seed) = flags.or_exit(flags.get("--chaos-seed")) {
+        let rate = flags.map("--chaos-rate", |v| match v.parse::<f64>() {
+            Ok(r) if (0.0..=1.0).contains(&r) => Ok(r),
+            _ => Err("expects a rate in [0,1]".to_owned()),
+        });
         let cfg = ChaosConfig {
-            kill_after_ops: int_flag(&cli, "--chaos-kill-after", "an op count"),
-            ..ChaosConfig::uniform(seed, rate)
+            kill_after_ops: flags.or_exit(flags.get("--chaos-kill-after")),
+            ..ChaosConfig::uniform(seed, flags.or_exit(rate).unwrap_or(0.02))
         };
         opts.io = Arc::new(ChaosIo::new(Arc::new(RealIo), cfg));
     }

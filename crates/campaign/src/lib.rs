@@ -56,12 +56,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use redsim_bench::{par_map, Harness};
+use redsim_bench::{par_map, Harness, RATE_FLAGS, SEEDS_FLAG, SHARED_FLAGS};
 pub use redsim_bench::{Job, JobError, JobErrorKind, JobFailure};
 use redsim_core::{
     ExecMode, FaultConfig, FaultLifecycle, FlightRecorder, ForwardingPolicy, Histogram,
     Instrumentation, MachineConfig, NullMetrics, SimStats, TraceSource, WindowSample,
 };
+use redsim_util::flags::{Flag, FlagTable};
 use redsim_util::framed_log::{self, Appender};
 use redsim_util::hash::FxHasher;
 use redsim_util::io::{atomic_write, FsyncPolicy, Io, RealIo};
@@ -74,6 +75,26 @@ pub mod supervisor;
 use manifest::header_line;
 use supervisor::execute_shard;
 pub use supervisor::{DeadlineMonitor, FlakePlan, RetryPolicy, ShardFailure};
+
+/// The command line of `fig_coverage`: the figure flags, `--seeds`,
+/// `--metrics-window`, the strike-rate overrides, then its own.
+#[rustfmt::skip]
+pub const COVERAGE_CLI: FlagTable = FlagTable::new("[options]", 0, &[&SHARED_FLAGS, &[
+    SEEDS_FLAG,
+    Flag::value("--metrics-window", "N", "IPC series window in cycles (default 10000)"),
+], &RATE_FLAGS, &[
+    Flag::value("--out", "PATH", "campaign files base (default target/campaign/fig_coverage)"),
+    Flag::switch("--resume", "skip the shards the manifest records"),
+    Flag::value("--interrupt-after", "K", "stop after K new shards, exit 3"),
+    Flag::value("--watchdog", "N", "per-shard deadline in cycles (default 50000000)"),
+    Flag::value("--retry-max", "N", "attempts per shard before quarantine (default 3)"),
+    Flag::value("--backoff-ms", "MS", "base retry backoff, doubling (default 25)"),
+    Flag::value("--host-deadline-ms", "MS", "host wall-clock deadline per attempt"),
+    Flag::value("--fsync", "always|critical|never", "manifest durability (default critical)"),
+    Flag::value("--chaos-seed", "S", "route campaign IO through a chaos backend"),
+    Flag::value("--chaos-rate", "R", "chaos per-op fault rate (default 0.02)"),
+    Flag::value("--chaos-kill-after", "N", "chaos: emulate a SIGKILL at the N-th IO op"),
+]]);
 
 /// Process exit codes shared by the campaign binaries, so scripts can
 /// tell the degradation modes apart.

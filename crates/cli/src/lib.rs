@@ -2,20 +2,11 @@
 
 //! # redsim-cli
 //!
-//! Command-line front ends for the redsim stack:
-//!
-//! * `redsim-asm` — assemble `.s` source into a `.rprog` container (or
-//!   print a listing).
-//! * `redsim-emu` — run a program functionally; print its output and,
-//!   optionally, capture the committed trace to a `.rtrc` file.
-//! * `redsim-sim` — run a program (or a captured trace, or a built-in
-//!   workload) through the cycle-level core under any execution mode and
-//!   machine configuration.
-//! * `redsim-workload` — list the SPEC CPU2000 stand-ins or emit their
-//!   generated assembly.
-//!
-//! This library hosts the small shared pieces: program loading by file
-//! extension and a dependency-free argument scanner.
+//! Shared pieces of the command-line tools (`redsim-asm`, `redsim-emu`,
+//! `redsim-sim`, `redsim-workload`, which live in the root `redsim`
+//! package, and `redsim-serve`): program loading by file extension and
+//! the exit helpers. The tools parse their flags with
+//! `redsim_util::flags`.
 
 use std::path::Path;
 
@@ -43,7 +34,10 @@ pub fn load_program(path: &str) -> Result<Program, String> {
 }
 
 /// A minimal argument scanner: positional arguments plus `--flag` and
-/// `--key value` options.
+/// `--key value` options. It refuses nothing, so no binary of this
+/// workspace uses it (they use `redsim_util::flags`); it stays only
+/// because `benchmark/src/main.rs` imports it, and goes when that file
+/// next changes.
 ///
 /// # Examples
 ///
@@ -80,12 +74,6 @@ impl Args {
             }
         }
         out
-    }
-
-    /// Parses the process arguments (skipping argv\[0\]).
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
     }
 
     /// The positional arguments, in order.

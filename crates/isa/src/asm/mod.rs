@@ -202,6 +202,12 @@ fn directive_args(stmt: &str, d: &str) -> String {
     stmt[d.len()..].trim().to_owned()
 }
 
+/// The largest data segment [`assemble`] accepts, in bytes. Pass 1
+/// refuses a `.space`, `.align` or any other directive that would grow
+/// the segment past it, before pass 2 allocates anything. The largest
+/// in-tree segment (mcf at its default scale) is 192 KiB.
+pub const MAX_DATA_BYTES: u64 = 64 << 20;
+
 /// Pass-1 sizing for data directives.
 fn apply_directive_size(
     d: &str,
@@ -211,25 +217,27 @@ fn apply_directive_size(
     data_len: &mut u64,
 ) -> Result<(), AsmError> {
     let args = directive_args(stmt, d);
-    match d {
-        ".text" => *seg = Segment::Text,
-        ".data" => *seg = Segment::Data,
+    let items = || args.split(',').filter(|s| !s.trim().is_empty()).count() as u64;
+    let len = *data_len;
+    let grown = match d {
+        ".text" => {
+            *seg = Segment::Text;
+            return Ok(());
+        }
+        ".data" => {
+            *seg = Segment::Data;
+            return Ok(());
+        }
         _ if *seg != Segment::Data => {
             return Err(AsmError::new(num, format!("{d} outside the .data segment")));
         }
-        ".word" | ".double" => {
-            let n = args.split(',').filter(|s| !s.trim().is_empty()).count() as u64;
-            *data_len += 8 * n;
-        }
-        ".byte" => {
-            let n = args.split(',').filter(|s| !s.trim().is_empty()).count() as u64;
-            *data_len += n;
-        }
+        ".word" | ".double" => len.checked_add(8 * items()),
+        ".byte" => len.checked_add(items()),
         ".space" => {
             let n: u64 = args
                 .parse()
                 .map_err(|_| AsmError::new(num, format!("bad .space size `{args}`")))?;
-            *data_len += n;
+            len.checked_add(n)
         }
         ".align" => {
             let a: u64 = args
@@ -238,14 +246,17 @@ fn apply_directive_size(
             if a == 0 || !a.is_power_of_two() {
                 return Err(AsmError::new(num, ".align requires a power of two"));
             }
-            *data_len = (*data_len).div_ceil(a) * a;
+            len.checked_next_multiple_of(a)
         }
-        ".asciiz" => {
-            let s = parse_string_literal(&args, num)?;
-            *data_len += s.len() as u64 + 1;
-        }
+        ".asciiz" => len.checked_add(parse_string_literal(&args, num)?.len() as u64 + 1),
         _ => return Err(AsmError::new(num, format!("unknown directive `{d}`"))),
-    }
+    };
+    *data_len = grown.filter(|&l| l <= MAX_DATA_BYTES).ok_or_else(|| {
+        AsmError::new(
+            num,
+            format!("{d} grows the data segment past its {MAX_DATA_BYTES}-byte cap"),
+        )
+    })?;
     Ok(())
 }
 

@@ -295,3 +295,22 @@ fn asciiz_with_hash_inside_string() {
     let p = ok(".data\ns: .asciiz \"a#b\"\n");
     assert_eq!(&p.data()[..4], b"a#b\0");
 }
+
+#[test]
+fn data_segment_past_the_cap_is_refused_before_allocation() {
+    // Regression: each of these used to abort the process (a failed
+    // allocation or a capacity overflow) in pass 2.
+    for src in [
+        ".data\nx: .space 4000000000000\n",
+        ".data\nx: .space 18446744073709551615\n",
+        ".data\nx: .space 9223372036854775807\ny: .space 9223372036854775807\n",
+        ".data\nx: .byte 1\n.align 9223372036854775808\n",
+    ] {
+        let e = err(src);
+        assert!(e.message().contains("cap"), "{src:?}: {e}");
+    }
+    let at_cap = format!(".data\nx: .space {MAX_DATA_BYTES}\n");
+    assert_eq!(ok(&at_cap).data().len() as u64, MAX_DATA_BYTES);
+    let e = err(&format!(".data\nx: .space {MAX_DATA_BYTES}\n.byte 1\n"));
+    assert_eq!(e.line(), 3);
+}

@@ -36,6 +36,9 @@
 //! so the journal a drained server compacts to is byte-identical at
 //! any worker count and across any kill/restart schedule — the
 //! property `tests/serve_recovery.rs` sweeps for.
+//!
+//! The `redsim-serve` binary's command lines are [`COMMANDS`], one
+//! table per subcommand.
 
 pub mod engine;
 pub mod journal;
@@ -45,6 +48,51 @@ pub mod store;
 
 use std::fmt;
 use std::io;
+
+use redsim_util::flags::{Flag, FlagTable};
+
+/// How a client finds the daemon.
+#[rustfmt::skip]
+const ENDPOINT: [Flag; 2] = [
+    Flag::value("--connect", "EP", "`tcp ADDR`, `unix PATH` or a bare ADDR"),
+    Flag::value("--state-dir", "DIR", "read the endpoint from DIR/endpoint"),
+];
+
+/// `redsim-serve` with no or an unknown subcommand.
+pub const TOP_CLI: FlagTable = FlagTable::new(
+    "<serve|submit|status|metrics|shutdown> [options]\n\
+     (`redsim-serve <command> --help` lists a command's options)",
+    0,
+    &[],
+);
+
+/// Each `redsim-serve` subcommand and its command line.
+#[rustfmt::skip]
+pub const COMMANDS: [(&str, FlagTable); 5] = {
+    const SERVE: FlagTable = FlagTable::new("serve --state-dir <DIR> [options]", 0, &[&[
+        Flag::value("--state-dir", "DIR", "journal, trace store and endpoint file"),
+        Flag::value("--listen", "ADDR", "TCP listen address (default 127.0.0.1:0)"),
+        Flag::value("--unix", "PATH", "listen on a unix socket instead"),
+        Flag::value("--workers", "N", "worker threads (default 1)"),
+        Flag::value("--fsync", "always|critical|never", "journal durability (default critical)"),
+        Flag::value("--deadline-ms", "MS", "host wall-clock deadline per attempt"),
+    ]]);
+    const SUBMIT: FlagTable = FlagTable::new("submit --workload <W> [options]", 0, &[&ENDPOINT, &[
+        Flag::value("--workload", "W", "the workload to run"),
+        Flag::value("--mode", "MODE", "sie|die|die-irb|sie-irb|die-cluster (default sie)"),
+        Flag::switch("--full", "default workload sizing (quick otherwise)"),
+        Flag::value("--seed", "N", "workload input seed"),
+        Flag::value("--watchdog", "N", "deadline in simulated cycles"),
+        Flag::value("--fault-fu", "R", "FU strike rate"),
+        Flag::value("--fault-bus", "R", "forwarding-bus strike rate"),
+        Flag::value("--fault-irb", "R", "IRB strike rate"),
+        Flag::value("--fault-seed", "N", "fault seed (default 0)"),
+        Flag::switch("--attribution", "carry the reuse-attribution breakdown"),
+        Flag::switch("--wait", "block for the result and print it"),
+    ]]);
+    const CLIENT: FlagTable = FlagTable::new("<status|metrics|shutdown> [options]", 0, &[&ENDPOINT]);
+    [("serve", SERVE), ("submit", SUBMIT), ("status", CLIENT), ("metrics", CLIENT), ("shutdown", CLIENT)]
+};
 
 /// A serve-layer failure: host IO on the durable path, journal damage,
 /// or a request arriving after shutdown.

@@ -2,22 +2,12 @@
 //!
 //! ```text
 //! redsim-serve serve --state-dir <dir> [options]      run the daemon
-//!   --listen <addr>        TCP listen address (default 127.0.0.1:0)
-//!   --unix <path>          listen on a unix socket instead
-//!   --workers <n>          worker threads (default 1)
-//!   --fsync always|critical|never                     (default critical)
-//!   --deadline-ms <n>      host wall-clock deadline per attempt
-//!
 //! redsim-serve submit --connect <ep> --workload <w> [options]
-//!   --mode sie|die|die-irb|sie-irb|die-cluster        (default sie)
-//!   --full                 default workload sizing (quick otherwise)
-//!   --seed <n> --watchdog <n>
-//!   --fault-fu <r> --fault-bus <r> --fault-irb <r> --fault-seed <n>
-//!   --attribution          carry the reuse-attribution breakdown
-//!   --wait                 block for and print the result
-//!
 //! redsim-serve status|metrics|shutdown --connect <ep>
 //! ```
+//!
+//! Each subcommand's flags are its table in [`redsim_serve::COMMANDS`];
+//! `redsim-serve <command> --help` prints them.
 //!
 //! `--connect` takes `tcp <addr>`, `unix <path>`, a bare `<host>:<port>`,
 //! or `--state-dir <dir>` to read the daemon's `endpoint` file. The
@@ -29,69 +19,63 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use redsim_cli::{die, usage, Args};
+use redsim_cli::die;
 use redsim_core::{ExecMode, FaultConfig};
 use redsim_serve::engine::{Engine, EngineOptions};
 use redsim_serve::net::{serve_tcp, Client};
 use redsim_serve::spec::JobSpec;
+use redsim_serve::{COMMANDS, TOP_CLI};
+use redsim_util::flags::{self, FlagError, Parsed};
 use redsim_util::io::{FsyncPolicy, RealIo};
 use redsim_util::Json;
 use redsim_workloads::Workload;
 
-const USAGE: &str = "usage: redsim-serve <serve|submit|status|metrics|shutdown> [options]\n\
-     serve    --state-dir <dir> [--listen <addr> | --unix <path>] [--workers n] [--fsync p] [--deadline-ms n]\n\
-     submit   --connect <ep> --workload <w> [--mode m] [--full] [--seed n] [--watchdog n] [--attribution] [--wait]\n\
-     status | metrics | shutdown   --connect <ep>\n\
-     <ep> is `tcp addr`, `unix path`, `addr`, or use --state-dir to read the endpoint file";
-
 fn main() {
-    let args = Args::from_env();
-    match args.positional().first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args),
-        Some("submit") => cmd_submit(&args),
-        Some("status") => cmd_request(&args, &Json::obj().field("op", "status")),
-        Some("metrics") => cmd_metrics(&args),
-        Some("shutdown") => cmd_request(&args, &Json::obj().field("op", "shutdown")),
-        _ => usage(USAGE),
-    }
-}
-
-fn state_dir(args: &Args) -> PathBuf {
-    match args.value_of("--state-dir") {
-        Some(d) => PathBuf::from(d),
-        None => usage(USAGE),
-    }
-}
-
-fn cmd_serve(args: &Args) {
-    let dir = state_dir(args);
-    let workers = args
-        .parsed_or("--workers", 1usize)
-        .unwrap_or_else(|e| die(&e));
-    let fsync = match args.value_of("--fsync") {
-        None => FsyncPolicy::default(),
-        Some(p) => FsyncPolicy::parse(p).unwrap_or_else(|| die(&format!("bad --fsync `{p}`"))),
+    let argv = flags::args();
+    let Some((cmd, table)) = argv
+        .first()
+        .and_then(|c| COMMANDS.iter().find(|(name, _)| name == c))
+    else {
+        let e = TOP_CLI.parse(&argv).err();
+        TOP_CLI.fail(&e.unwrap_or(FlagError::Required("a subcommand")));
     };
-    let host_deadline = args.value_of("--deadline-ms").map(|ms| {
-        let ms: u64 = ms
-            .parse()
-            .unwrap_or_else(|_| die(&format!("bad --deadline-ms `{ms}`")));
-        std::time::Duration::from_millis(ms)
+    let args = table.parse_or_exit(&argv[1..]);
+    match *cmd {
+        "serve" => cmd_serve(&args),
+        "submit" => cmd_submit(&args),
+        "metrics" => cmd_metrics(&args),
+        op => cmd_request(&args, &Json::obj().field("op", op)),
+    }
+}
+
+fn state_dir(args: &Parsed) -> PathBuf {
+    match args.value("--state-dir") {
+        Some(d) => PathBuf::from(d),
+        None => args.fail(&FlagError::Required("--state-dir")),
+    }
+}
+
+fn cmd_serve(args: &Parsed) {
+    let dir = state_dir(args);
+    let fsync = args.map("--fsync", |p| {
+        FsyncPolicy::parse(p).ok_or_else(|| "expects always|critical|never".to_owned())
     });
     let opts = EngineOptions {
-        workers,
-        fsync,
-        host_deadline,
+        workers: args.or_exit(args.get("--workers")).unwrap_or(1),
+        fsync: args.or_exit(fsync).unwrap_or_default(),
+        host_deadline: args
+            .or_exit(args.get("--deadline-ms"))
+            .map(std::time::Duration::from_millis),
         ..EngineOptions::default()
     };
     let engine = Arc::new(
         Engine::open(Arc::new(RealIo), &dir, opts).unwrap_or_else(|e| die(&e.to_string())),
     );
 
-    if let Some(path) = args.value_of("--unix") {
+    if let Some(path) = args.value("--unix") {
         serve_on_unix(&engine, &dir, path);
     } else {
-        let addr = args.value_of("--listen").unwrap_or("127.0.0.1:0");
+        let addr = args.value("--listen").unwrap_or("127.0.0.1:0");
         let listener =
             TcpListener::bind(addr).unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
         let local = listener
@@ -130,8 +114,8 @@ fn announce(dir: &Path, endpoint: &str) {
     }
 }
 
-fn connect(args: &Args) -> Client {
-    let endpoint = match args.value_of("--connect") {
+fn connect(args: &Parsed) -> Client {
+    let endpoint = match args.value("--connect") {
         Some(ep) => ep.to_owned(),
         None => {
             let dir = state_dir(args);
@@ -143,7 +127,7 @@ fn connect(args: &Args) -> Client {
     Client::connect(&endpoint).unwrap_or_else(|e| die(&format!("connect {}: {e}", endpoint.trim())))
 }
 
-fn cmd_request(args: &Args, req: &Json) {
+fn cmd_request(args: &Parsed, req: &Json) {
     let mut client = connect(args);
     let resp = client.request(req).unwrap_or_else(|e| die(&e.to_string()));
     println!("{resp}");
@@ -152,7 +136,7 @@ fn cmd_request(args: &Args, req: &Json) {
     }
 }
 
-fn cmd_metrics(args: &Args) {
+fn cmd_metrics(args: &Parsed) {
     let mut client = connect(args);
     let resp = client
         .request(&Json::obj().field("op", "metrics"))
@@ -163,43 +147,28 @@ fn cmd_metrics(args: &Args) {
     }
 }
 
-fn cmd_submit(args: &Args) {
-    let workload = args.value_of("--workload").unwrap_or_else(|| usage(USAGE));
-    let workload = Workload::from_name(workload)
-        .unwrap_or_else(|| die(&format!("unknown workload `{workload}`")));
-    let mode = args.value_of("--mode").unwrap_or("sie");
-    let mode = ExecMode::from_name(mode).unwrap_or_else(|| die(&format!("unknown mode `{mode}`")));
-    let mut spec = JobSpec::new(workload, mode);
+fn cmd_submit(args: &Parsed) {
+    let workload = args.map("--workload", |w| {
+        Workload::from_name(w).ok_or_else(|| "unknown workload".to_owned())
+    });
+    let Some(workload) = args.or_exit(workload) else {
+        args.fail(&FlagError::Required("--workload"));
+    };
+    let mode = args.map("--mode", |m| {
+        ExecMode::from_name(m).ok_or_else(|| "unknown mode".to_owned())
+    });
+    let mut spec = JobSpec::new(workload, args.or_exit(mode).unwrap_or(ExecMode::Sie));
     spec.quick = !args.has("--full");
-    if let Some(s) = args.value_of("--seed") {
-        spec.input_seed = Some(
-            s.parse()
-                .unwrap_or_else(|_| die(&format!("bad --seed `{s}`"))),
-        );
-    }
-    if let Some(w) = args.value_of("--watchdog") {
-        spec.watchdog = Some(
-            w.parse()
-                .unwrap_or_else(|_| die(&format!("bad --watchdog `{w}`"))),
-        );
-    }
-    let fu: f64 = args
-        .parsed_or("--fault-fu", 0.0)
-        .unwrap_or_else(|e| die(&e));
-    let bus: f64 = args
-        .parsed_or("--fault-bus", 0.0)
-        .unwrap_or_else(|e| die(&e));
-    let irb: f64 = args
-        .parsed_or("--fault-irb", 0.0)
-        .unwrap_or_else(|e| die(&e));
+    spec.input_seed = args.or_exit(args.get("--seed"));
+    spec.watchdog = args.or_exit(args.get("--watchdog"));
+    let rate = |flag| args.or_exit(args.get(flag)).unwrap_or(0.0);
+    let (fu, bus, irb) = (rate("--fault-fu"), rate("--fault-bus"), rate("--fault-irb"));
     if fu != 0.0 || bus != 0.0 || irb != 0.0 {
         spec.faults = Some(FaultConfig {
             fu_rate: fu,
             forward_rate: bus,
             irb_rate: irb,
-            seed: args
-                .parsed_or("--fault-seed", 0u64)
-                .unwrap_or_else(|e| die(&e)),
+            seed: args.or_exit(args.get("--fault-seed")).unwrap_or(0),
         });
     }
     spec.attribution = args.has("--attribution");

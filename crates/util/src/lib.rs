@@ -26,11 +26,14 @@
 //!   manifest and the serve journal are: checksummed JSONL frames, a
 //!   reader that skips a torn last line and refuses earlier damage, an
 //!   atomic rewrite, and an error-latching appender.
+//! * [`flags`] — the table-driven command-line parser every binary
+//!   uses: unknown, value-less and repeated flags are typed errors.
 //!
 //! Everything in this crate is deterministic given its inputs; nothing
-//! except the explicit [`io`] backends touches the filesystem or the
-//! environment.
+//! except the explicit [`io`] backends and the [`flags`] readers of the
+//! process arguments touches the filesystem or the environment.
 
+pub mod flags;
 pub mod framed_log;
 pub mod hash;
 pub mod io;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full offline verification: formatting, lints, release build, the test
-# suite, the end-to-end smokes, a bench smoke that byte-compares every
-# figure's quick golden at one and at eight threads, and a build of the
-# benchmark/ package with its unit tests. Run from anywhere; no network
-# access is needed (the workspace has zero external dependencies).
+# suite, the end-to-end smokes (the flags smoke first), a bench smoke
+# that byte-compares every figure's quick golden at one and at eight
+# threads, and a build of the benchmark/ package with its unit tests.
+# Run from anywhere; no network access is needed (the workspace has
+# zero external dependencies).
 #
 #   scripts/verify.sh               # everything
 #   scripts/verify.sh bench-smoke   # only the golden/threads smoke
@@ -506,6 +507,59 @@ EOF
     await_daemon_exit "$serve_pid" "$log"
 }
 
+flags_smoke() {
+    # Every binary parses its flag table: an unknown flag and a value
+    # flag given last exit 2 before anything runs (each call is bounded
+    # to 10 s, far below any simulation), and --help exits 0.
+    echo "==> every binary refuses unknown and value-less flags with exit 2"
+    local t=target/release
+    expect() {
+        local want=$1 rc=0
+        shift
+        timeout 10 "$@" >/dev/null 2>&1 || rc=$?
+        if [ "$rc" -ne "$want" ]; then
+            echo "FAIL: '$*' exited $rc, want $want" >&2
+            exit 1
+        fi
+    }
+    local fig name
+    for fig in crates/bench/src/bin/*.rs fig_coverage; do
+        name=$(basename "$fig" .rs)
+        expect 2 "$t/$name" --quick --threads 2 --bogus
+        expect 2 "$t/$name" --quick --threads
+        expect 0 "$t/$name" --help
+    done
+    expect 2 "$t/redsim-asm" x.s --bogus
+    expect 2 "$t/redsim-asm" x.s --out
+    expect 2 "$t/redsim-emu" x.s --bogus
+    expect 2 "$t/redsim-emu" x.s --budget
+    expect 2 "$t/redsim-workload" emit gzip --bogus
+    expect 2 "$t/redsim-workload" emit gzip --scale
+    expect 2 "$t/redsim-sim" --compare --workload gzip --bogus
+    expect 2 "$t/redsim-sim" --compare --workload gzip --mode die
+    local bin
+    for bin in redsim-asm redsim-emu redsim-sim redsim-workload redsim-serve; do
+        expect 0 "$t/$bin" --help
+    done
+    local cmd
+    for cmd in serve submit status metrics shutdown; do
+        expect 2 "$t/redsim-serve" "$cmd" --state-dir target/flags-smoke --bogus
+        expect 2 "$t/redsim-serve" "$cmd" --state-dir
+        expect 0 "$t/redsim-serve" "$cmd" --help
+    done
+    # The reported cases: a typo, an unknown flag, a value-less budget
+    # and a value-less rate each used to run and exit 0.
+    expect 2 "$t/redsim-sim" --workload gzip --scale 1 --mdoe die
+    expect 2 "$t/redsim-sim" --workload gzip --scale 1 --bogus
+    expect 2 "$t/redsim-sim" --workload gzip --scale 1 --budget
+    expect 2 "$t/fig_faults" --quick --threads 2 --fu-rate
+    expect 2 "$t/fig2" --qiuck
+    if [ -e target/flags-smoke ]; then
+        echo "FAIL: a refused redsim-serve command created its state directory" >&2
+        exit 1
+    fi
+}
+
 benchmark_build() {
     # The benchmark package (benchmark/, its own workspace) builds the
     # repository's crates by path, so a crate API change that breaks it
@@ -521,6 +575,12 @@ benchmark_build() {
 if [ "${1:-}" = "benchmark-build" ]; then
     benchmark_build
     echo "OK: benchmark build passed"
+    exit 0
+fi
+
+if [ "${1:-}" = "flags-smoke" ]; then
+    flags_smoke
+    echo "OK: flags smoke passed"
     exit 0
 fi
 
@@ -577,6 +637,7 @@ run cargo clippy --offline --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 run cargo build --offline --release --workspace
 run cargo test --offline --workspace -q
+flags_smoke
 trace_smoke
 trace_file_smoke
 metrics_smoke

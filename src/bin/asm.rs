@@ -4,15 +4,18 @@
 //! redsim-asm <input.s> [--out <file.rprog>] [--list]
 //! ```
 //!
-//! `--list` prints the disassembly listing instead of writing a file.
+//! `--list` prints the disassembly listing instead of writing a file
+//! (`redsim::cli::ASM`).
 
-use redsim_cli::{die, usage, Args};
+use redsim::cli::ASM;
+use redsim_cli::die;
 use redsim_isa::{container, disasm};
+use redsim_util::flags::{self, FlagError};
 
 fn main() {
-    let args = Args::from_env();
-    let Some(input) = args.positional().first() else {
-        usage("usage: redsim-asm <input.s> [--out <file.rprog>] [--list]");
+    let args = ASM.parse_or_exit(&flags::args());
+    let Some(input) = args.positionals().first() else {
+        args.fail(&FlagError::Required("<input.s>"));
     };
     let src = match std::fs::read_to_string(input) {
         Ok(s) => s,
@@ -27,7 +30,7 @@ fn main() {
         return;
     }
     let out = args
-        .value_of("--out")
+        .value("--out")
         .map(str::to_owned)
         .unwrap_or_else(|| input.strip_suffix(".s").unwrap_or(input).to_owned() + ".rprog");
     if let Err(e) = std::fs::write(&out, container::to_bytes(&program)) {

@@ -6,26 +6,28 @@
 //!
 //! Prints the program's `puti`/`putc`/`putf` output and a run summary;
 //! `--trace-out` additionally captures the committed trace for replay
-//! with `redsim-sim --trace`.
+//! with `redsim-sim --trace` (`redsim::cli::EMU`).
 
-use redsim_cli::{die, load_program, usage, Args};
+use redsim::cli::EMU;
+use redsim_cli::{die, load_program};
 use redsim_isa::emu::Emulator;
 use redsim_isa::trace::OutputEvent;
 use redsim_isa::trace_io;
+use redsim_util::flags::{self, FlagError};
 use redsim_workloads::Workload;
 
 fn main() {
-    let args = Args::from_env();
-    let Some(input) = args.positional().first() else {
-        usage("usage: redsim-emu <prog.s|prog.rprog> [--budget <n>] [--trace-out <file.rtrc>]");
+    let args = EMU.parse_or_exit(&flags::args());
+    let Some(input) = args.positionals().first() else {
+        args.fail(&FlagError::Required("<prog.s|prog.rprog>"));
     };
     let budget = args
-        .parsed_or("--budget", Workload::TRACE_BUDGET)
-        .unwrap_or_else(|e| die(&e));
+        .or_exit(args.get("--budget"))
+        .unwrap_or(Workload::TRACE_BUDGET);
     let program = load_program(input).unwrap_or_else(|e| die(&e));
     let mut emu = Emulator::new(&program);
 
-    let committed = if let Some(trace_path) = args.value_of("--trace-out") {
+    let committed = if let Some(trace_path) = args.value("--trace-out") {
         let trace = emu
             .run_trace(budget)
             .unwrap_or_else(|e| die(&format!("execution failed: {e}")));

@@ -6,22 +6,34 @@
 //! redsim-workload mix  <name> [--scale n] [--seed s]   dynamic instruction mix
 //! ```
 
-use redsim_cli::{die, usage, Args};
+use redsim::cli::WORKLOAD;
+use redsim_cli::die;
+use redsim_util::flags::{self, FlagError, Parsed};
 use redsim_workloads::{mix::InstMix, Params, Workload};
 
-fn params_for(w: Workload, args: &Args) -> Params {
+/// The workload `name` at `--scale` and `--seed`; an unknown name or a
+/// bad value exits 2.
+fn workload(name: &str, args: &Parsed) -> (Workload, Params) {
+    let Some(w) = Workload::from_name(name) else {
+        args.fail(&FlagError::Invalid {
+            flag: "<NAME>",
+            value: name.to_owned(),
+            reason: "unknown workload; try `redsim-workload list`".to_owned(),
+        });
+    };
     let d = w.default_params();
-    let scale = args
-        .parsed_or("--scale", d.scale)
-        .unwrap_or_else(|e| die(&e));
-    let seed = args.parsed_or("--seed", d.seed).unwrap_or_else(|e| die(&e));
-    Params::new(scale, seed)
+    let scale = args.or_exit(args.get("--scale")).unwrap_or(d.scale);
+    let seed = args.or_exit(args.get("--seed")).unwrap_or(d.seed);
+    (w, Params::new(scale, seed))
 }
 
 fn main() {
-    let args = Args::from_env();
-    match args.positional() {
+    let args = WORKLOAD.parse_or_exit(&flags::args());
+    match args.positionals() {
         [cmd] if cmd == "list" => {
+            if let Some((flag, _)) = args.given().next() {
+                args.fail(&FlagError::Unexpected(flag.to_owned()));
+            }
             println!(
                 "{:<10} {:<6} {:>13}  models",
                 "name", "suite", "default-scale"
@@ -38,23 +50,21 @@ fn main() {
             }
         }
         [cmd, name] if cmd == "emit" => {
-            let w = Workload::from_name(name)
-                .unwrap_or_else(|| die(&format!("unknown workload `{name}`")));
-            print!("{}", w.source(params_for(w, &args)));
+            let (w, params) = workload(name, &args);
+            print!("{}", w.source(params));
         }
         [cmd, name] if cmd == "mix" => {
-            let w = Workload::from_name(name)
-                .unwrap_or_else(|| die(&format!("unknown workload `{name}`")));
+            let (w, params) = workload(name, &args);
             let program = w
-                .program(params_for(w, &args))
+                .program(params)
                 .unwrap_or_else(|e| die(&format!("generation failed: {e}")));
             match InstMix::from_program(&program, 500_000_000) {
                 Ok(m) => println!("{m}"),
                 Err(e) => die(&format!("profiling failed: {e}")),
             }
         }
-        _ => usage(
-            "usage: redsim-workload list | emit <name> [--scale n] [--seed s] | mix <name> [...]",
-        ),
+        [cmd] if cmd == "emit" || cmd == "mix" => args.fail(&FlagError::Required("<NAME>")),
+        [] => args.fail(&FlagError::Required("a command: list, emit or mix")),
+        other => args.fail(&FlagError::Unexpected(other.join(" "))),
     }
 }

@@ -18,6 +18,9 @@
 //!   DIE-IRB execution modes.
 //! * [`workloads`] — the twelve SPEC CPU2000 stand-in kernels.
 //!
+//! [`cli`] holds the command lines of the package's four binaries
+//! (`redsim-asm`, `redsim-emu`, `redsim-sim`, `redsim-workload`).
+//!
 //! # Examples
 //!
 //! Measure the IPC cost of dual-instruction execution on one workload and
@@ -35,6 +38,8 @@
 //! assert!(die.ipc() < sie.ipc());
 //! assert!(die_irb.ipc() >= die.ipc());
 //! ```
+
+pub mod cli;
 
 pub use redsim_core as core;
 pub use redsim_irb as irb;

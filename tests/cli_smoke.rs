@@ -174,3 +174,81 @@ fn fidelity_flags_are_accepted() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("DieCluster"));
 }
+
+/// Runs `bin` with `args` and returns its exit code and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into(),
+    )
+}
+
+#[test]
+fn every_table_refuses_unknown_and_value_less_flags() {
+    let asm = env!("CARGO_BIN_EXE_redsim-asm");
+    let emu = env!("CARGO_BIN_EXE_redsim-emu");
+    let sim = env!("CARGO_BIN_EXE_redsim-sim");
+    let workload = env!("CARGO_BIN_EXE_redsim-workload");
+    for (bin, args) in [
+        (asm, &["x.s", "--bogus"][..]),
+        (asm, &["x.s", "--out"]),
+        (emu, &["x.s", "--bogus"]),
+        (emu, &["x.s", "--budget"]),
+        (
+            sim,
+            &["--workload", "gzip", "--scale", "1", "--mdoe", "die"],
+        ),
+        (sim, &["--workload", "gzip", "--scale", "1", "--budget"]),
+        (sim, &["--compare", "--workload", "gzip", "--bogus"]),
+        (sim, &["--compare", "--workload", "gzip", "--scale"]),
+        // Flags compare does not honour are refused, not dropped.
+        (sim, &["--compare", "--workload", "gzip", "--mode", "die"]),
+        (
+            sim,
+            &["--compare", "--workload", "gzip", "--fault-fu", "0.1"],
+        ),
+        (workload, &["emit", "gzip", "--bogus"]),
+        (workload, &["emit", "gzip", "--seed"]),
+        (workload, &["list", "--scale", "2"]),
+        (workload, &["emit", "gzip", "--seed", "1", "--seed", "2"]),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("usage: "), "{bin} {args:?}: {stderr}");
+    }
+    for bin in [asm, emu, sim, workload] {
+        let out = Command::new(bin).arg("--help").output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{bin} --help");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("--help"));
+    }
+}
+
+#[test]
+fn compare_honours_the_workload_seed() {
+    // Regression: --compare generated the workload from its default
+    // seed whatever --seed said, so every seed printed the same cycles.
+    let cycles = |seed: Option<&str>| {
+        let mut args = vec!["--compare", "--workload", "gzip", "--scale", "1"];
+        args.extend(seed.map(|s| ["--seed", s]).into_iter().flatten());
+        let out = Command::new(env!("CARGO_BIN_EXE_redsim-sim"))
+            .args(&args)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let default_seed = redsim_workloads::Workload::Gzip.default_params().seed;
+    assert_eq!(cycles(None), cycles(Some(&default_seed.to_string())));
+    assert_ne!(cycles(None), cycles(Some("5")));
+}
+
+#[test]
+fn oversized_data_segments_fail_cleanly() {
+    let dir = tmpdir();
+    let src = dir.join("huge.s");
+    std::fs::write(&src, ".data\nx: .space 4000000000000\n.text\nmain: halt\n").unwrap();
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_redsim-asm"), &[src.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("cap"), "{stderr}");
+}
