@@ -30,6 +30,7 @@ use redsim_campaign::{
 use redsim_core::{
     ExecMode, FaultConfig, ForwardingPolicy, StallBreakdown, StallSummary, Throughput,
 };
+use redsim_util::flags::FlagError;
 use redsim_util::io::{ChaosConfig, ChaosIo, FsyncPolicy, RealIo};
 use redsim_util::Json;
 use redsim_workloads::Workload;
@@ -124,6 +125,11 @@ fn main() {
     });
     if let Some(policy) = flags.or_exit(fsync) {
         opts.fsync = policy;
+    }
+    for flag in ["--chaos-rate", "--chaos-kill-after"] {
+        if flags.has(flag) && !flags.has("--chaos-seed") {
+            flags.fail(&FlagError::Conflict(flag, "needs `--chaos-seed`"));
+        }
     }
     if let Some(seed) = flags.or_exit(flags.get("--chaos-seed")) {
         let rate = flags.map("--chaos-rate", |v| match v.parse::<f64>() {

@@ -92,8 +92,8 @@ pub const COVERAGE_CLI: FlagTable = FlagTable::new("[options]", 0, &[&SHARED_FLA
     Flag::value("--host-deadline-ms", "MS", "host wall-clock deadline per attempt"),
     Flag::value("--fsync", "always|critical|never", "manifest durability (default critical)"),
     Flag::value("--chaos-seed", "S", "route campaign IO through a chaos backend"),
-    Flag::value("--chaos-rate", "R", "chaos per-op fault rate (default 0.02)"),
-    Flag::value("--chaos-kill-after", "N", "chaos: emulate a SIGKILL at the N-th IO op"),
+    Flag::value("--chaos-rate", "R", "chaos per-op fault rate (default 0.02; needs --chaos-seed)"),
+    Flag::value("--chaos-kill-after", "N", "chaos: emulate a SIGKILL at the N-th IO op (needs --chaos-seed)"),
 ]]);
 
 /// Process exit codes shared by the campaign binaries, so scripts can

@@ -61,7 +61,13 @@ fn complete(outcome: CampaignOutcome) -> CampaignReport {
 }
 
 fn reference_report(spec: &CampaignSpec) -> String {
-    let o = opts("reference", 2);
+    // One directory per call: the tests that take a reference run in
+    // parallel, and sharing one directory races their manifest writes.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let o = opts(
+        &format!("reference-{}", CALLS.fetch_add(1, Ordering::Relaxed)),
+        2,
+    );
     complete(run_campaign(spec, &o).expect("clean run")).report
 }
 

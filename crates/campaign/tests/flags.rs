@@ -1,6 +1,6 @@
-//! `fig_coverage` refuses a flag its table does not declare and a value
-//! flag given last, with exit 2 and the usage, before it writes any
-//! campaign file.
+//! `fig_coverage` refuses a flag its table does not declare, a value
+//! flag given last, and a chaos knob without `--chaos-seed`, with exit 2
+//! and the usage, before it writes any campaign file.
 
 use std::process::Command;
 
@@ -17,6 +17,9 @@ fn coverage_refuses_unknown_and_value_less_flags() {
         &["--watchdog", "0"],
         &["--fsync", "sometimes"],
         &["--chaos-seed", "1", "--chaos-rate", "2"],
+        // Chaos knobs without a chaos backend to tune.
+        &["--chaos-rate", "1"],
+        &["--chaos-kill-after", "3"],
     ] {
         let mut args = vec!["--quick", "--threads", "1", "--out", out_base];
         args.extend_from_slice(tail);

@@ -96,22 +96,6 @@ pub enum IssuePolicy {
     PrimaryFirst,
 }
 
-/// Which implementation drives the scheduling loop (issue + writeback).
-///
-/// Both engines produce bit-identical [`crate::SimStats`]; they differ
-/// only in host cost. The scan reference exists as the equivalence
-/// oracle for the event-driven engine's tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedEngine {
-    /// Per-stream ready queues plus a completion calendar (timing
-    /// wheel): each cycle touches only the entries that actually have
-    /// work. The default.
-    EventDriven,
-    /// The original full-window scans — O(RUU) per cycle regardless of
-    /// how much is in flight.
-    ScanReference,
-}
-
 /// How the issue window obtains operands, which dictates when the IRB
 /// reuse test can run (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -286,9 +270,6 @@ pub struct MachineConfig {
     /// prior-work observation the paper's §1 recounts: for a balanced
     /// SIE, reuse only pays on long-latency operations.
     pub reuse_long_latency_only: bool,
-    /// Scheduling-loop implementation (host performance only; results
-    /// are identical).
-    pub engine: SchedEngine,
 }
 
 impl MachineConfig {
@@ -323,7 +304,6 @@ impl MachineConfig {
             stl_forwarding: false,
             perfect_branch_prediction: false,
             reuse_long_latency_only: false,
-            engine: SchedEngine::EventDriven,
         }
     }
 
@@ -365,7 +345,6 @@ impl MachineConfig {
             stl_forwarding: false,
             perfect_branch_prediction: false,
             reuse_long_latency_only: false,
-            engine: SchedEngine::EventDriven,
         }
     }
 

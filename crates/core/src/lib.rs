@@ -71,7 +71,7 @@ pub mod trace;
 
 pub use config::{
     DcacheConfig, ExecMode, ForwardingPolicy, FuCounts, IssuePolicy, LatencyConfig, MachineConfig,
-    SchedEngine, SchedulerModel,
+    SchedulerModel,
 };
 pub use fault::{
     FaultConfig, FaultConfigError, FaultLifecycle, FaultOutcome, FaultRecord, FaultSite, FaultStats,

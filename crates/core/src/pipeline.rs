@@ -12,9 +12,7 @@ use redsim_isa::{EmuError, OpClass, Program};
 use redsim_mem::{Hierarchy, Level};
 use redsim_util::FxHashMap;
 
-use crate::config::{
-    ExecMode, ForwardingPolicy, IssuePolicy, MachineConfig, SchedEngine, SchedulerModel,
-};
+use crate::config::{ExecMode, ForwardingPolicy, IssuePolicy, MachineConfig, SchedulerModel};
 use crate::fault::{FaultConfig, FaultConfigError, FaultInjector, FaultOutcome};
 use crate::frontend::{FetchOutcome, FrontEnd};
 use crate::fu::{FuBank, Pool};
@@ -403,10 +401,6 @@ struct Machine<'a> {
     /// Rename bank the duplicate stream reads its sources from.
     dup_source_bank: usize,
     cycles_since_commit: u64,
-    /// `true` under [`SchedEngine::EventDriven`]; gates every queue and
-    /// calendar update so the scan reference never accumulates stale
-    /// events.
-    event_driven: bool,
     /// Per-stream ready bitsets over the RUU ring slots (indexed
     /// [`PRIMARY`]/[`DUP`]); the §3.1 primary-first policy is the walk
     /// order of these sets.
@@ -497,7 +491,6 @@ impl<'a> Machine<'a> {
             wrong_path_pc: None,
             dup_source_bank,
             cycles_since_commit: 0,
-            event_driven: cfg.engine == SchedEngine::EventDriven,
             ready: [ReadySet::new(ring), ReadySet::new(ring)],
             calendar: Calendar::new(),
             scratch_events: Vec::new(),
@@ -525,13 +518,10 @@ impl<'a> Machine<'a> {
 
     /// Files a newly [`EntryState::Ready`] entry with its stream's
     /// bitset. Every `Ready` transition outside the issue loop must
-    /// pass through here — the bitsets ARE the ready set under the
-    /// event-driven engine.
+    /// pass through here — the bitsets ARE the ready set.
     fn push_ready(&mut self, seq: u64, stream: Stream) {
-        if self.event_driven {
-            let q = if stream == Stream::Dup { DUP } else { PRIMARY };
-            self.ready[q].insert(self.ruu.slot_of(seq));
-        }
+        let q = if stream == Stream::Dup { DUP } else { PRIMARY };
+        self.ready[q].insert(self.ruu.slot_of(seq));
     }
 
     /// Clears an entry's ready bit after it leaves the `Ready` state in
@@ -539,19 +529,55 @@ impl<'a> Machine<'a> {
     /// streams' sets is branch-free and correct: a slot is marked in at
     /// most its own stream's set.
     fn remove_ready(&mut self, seq: u64) {
-        if self.event_driven {
-            let slot = self.ruu.slot_of(seq);
-            self.ready[PRIMARY].remove(slot);
-            self.ready[DUP].remove(slot);
-        }
+        let slot = self.ruu.slot_of(seq);
+        self.ready[PRIMARY].remove(slot);
+        self.ready[DUP].remove(slot);
     }
 
     /// Files a completion event for an entry entering
     /// [`EntryState::Issued`] with `complete_at = Some(at)`.
     fn schedule_completion(&mut self, at: u64, seq: u64) {
-        if self.event_driven {
-            self.calendar.schedule(at, self.cycle, seq);
-        }
+        self.calendar.schedule(at, self.cycle, seq);
+    }
+
+    /// The writeback predicate: a live, issued entry due this cycle.
+    #[inline]
+    fn is_completing(&self, seq: u64) -> bool {
+        self.ruu.contains(seq)
+            && self.ruu.state(seq) == EntryState::Issued
+            && self.ruu.completes_at(seq, self.cycle)
+    }
+
+    /// Debug-build oracle for the ready bitsets: the issue candidates
+    /// still `Ready` must be exactly the full-window scan's `Ready`
+    /// entries, in the same order (primary stream first under §3.1's
+    /// policy).
+    #[cfg(debug_assertions)]
+    fn check_issue_oracle(&self, candidates: &[u64], primary_first: bool) {
+        let ruu = &self.ruu;
+        let live = candidates
+            .iter()
+            .copied()
+            .filter(|&s| ruu.contains(s) && ruu.state(s) == EntryState::Ready);
+        let scan = ruu.scan(EntryState::Ready);
+        let agree = if primary_first {
+            let primaries = scan.clone().filter(|&s| !ruu.is_dup(s));
+            live.eq(primaries.chain(scan.filter(|&s| ruu.is_dup(s))))
+        } else {
+            live.eq(scan)
+        };
+        assert!(agree, "issue oracle: cycle {}", self.cycle);
+    }
+
+    /// Debug-build oracle for the completion calendar: the due events
+    /// that pass the writeback predicate must be exactly the scan's
+    /// completing entries, oldest first.
+    #[cfg(debug_assertions)]
+    fn check_writeback_oracle(&self, due: &[u64]) {
+        let live = due.iter().copied().filter(|&s| self.is_completing(s));
+        let scan = self.ruu.scan(EntryState::Issued);
+        let agree = live.eq(scan.filter(|&s| self.ruu.completes_at(s, self.cycle)));
+        assert!(agree, "writeback oracle: cycle {}", self.cycle);
     }
 
     fn is_dual(&self) -> bool {
@@ -886,10 +912,7 @@ impl<'a> Machine<'a> {
     /// `active_commit_cycles + stalls.total() == cycles`.
     ///
     /// The classification reads only architected pipeline state (RUU
-    /// entries, reuse state, last cycle's issue saturation), which both
-    /// scheduling engines keep bit-identical — so the breakdown is
-    /// engine-independent by the same argument as the rest of
-    /// `SimStats`.
+    /// entries, reuse state, last cycle's issue saturation).
     fn attribute_stall(&mut self) {
         if self.rewound_this_cycle {
             self.stats.stalls.rewind += 1;
@@ -1000,20 +1023,14 @@ impl<'a> Machine<'a> {
 
     fn writeback(&mut self) {
         let mut completing = std::mem::take(&mut self.scratch_events);
-        if self.event_driven {
-            self.calendar.pop_due(self.cycle, &mut completing);
-        } else {
-            completing.clear();
-            self.ruu.collect_completing(self.cycle, &mut completing);
-        }
+        self.calendar.pop_due(self.cycle, &mut completing);
+        #[cfg(debug_assertions)]
+        self.check_writeback_oracle(&completing);
         for &seq in &completing {
-            // The scan selected on exactly this predicate; re-checking
-            // it at pop time keeps the engines interchangeable and
-            // makes any stale calendar event a no-op.
-            if !self.ruu.contains(seq)
-                || self.ruu.state(seq) != EntryState::Issued
-                || !self.ruu.completes_at(seq, self.cycle)
-            {
+            // The scan reference selects on exactly this predicate;
+            // re-checking it at pop time makes any stale calendar event
+            // a no-op.
+            if !self.is_completing(seq) {
                 continue;
             }
             if self.ruu.is_dup(seq) && self.ruu.is_load(seq) && !self.ruu.is_done(seq - 1) {
@@ -1142,15 +1159,19 @@ impl<'a> Machine<'a> {
     // ----- issue ----------------------------------------------------
 
     fn issue(&mut self) {
-        if self.event_driven {
-            // Idle-cycle fast path: with nothing ready the candidate
-            // walk, the policy selection and the loop are all no-ops,
-            // so skip straight to the one observable side effect.
-            let [primary, dup] = &self.ready;
-            if primary.is_empty() && dup.is_empty() {
-                self.prev_issue_saturated = false;
-                return;
-            }
+        // Idle-cycle fast path: with nothing ready the candidate walk,
+        // the policy selection and the loop are all no-ops, so skip
+        // straight to the one observable side effect.
+        let [primary, dup] = &self.ready;
+        if primary.is_empty() && dup.is_empty() {
+            debug_assert_eq!(
+                self.ruu.ready_count(),
+                0,
+                "issue oracle: cycle {}",
+                self.cycle
+            );
+            self.prev_issue_saturated = false;
+            return;
         }
         let mut issued = 0usize;
         // DIE-IRB selection policy (§3.1): the primary stream owns the
@@ -1164,39 +1185,25 @@ impl<'a> Machine<'a> {
         };
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
-        if self.event_driven {
-            // Walking the bitsets up front snapshots the ready set
-            // exactly as the scan did: entries woken by a mid-issue
-            // broadcast set their bit but are not in this cycle's
-            // candidate list. The walk is windowed to the live RUU
-            // span, so ring order equals ascending seq order.
-            let base_seq = self.ruu.head_seq();
-            let base_slot = self.ruu.slot_of(base_seq);
-            let len = self.ruu.len();
-            let [primary, dup] = &self.ready;
-            if primary_first {
-                primary.append_ring(base_slot, len, base_seq, &mut candidates);
-                dup.append_ring(base_slot, len, base_seq, &mut candidates);
-            } else if !self.is_dual() {
-                // Single-stream modes never populate the dup set; the
-                // union walk would read a second word array of zeros.
-                primary.append_ring(base_slot, len, base_seq, &mut candidates);
-            } else {
-                ReadySet::append_union_ring(
-                    primary,
-                    dup,
-                    base_slot,
-                    len,
-                    base_seq,
-                    &mut candidates,
-                );
-            }
+        // Walking the bitsets up front snapshots the ready set: entries
+        // woken by a mid-issue broadcast set their bit but are not in
+        // this cycle's candidate list. The walk is windowed to the live
+        // RUU span, so ring order equals ascending seq order.
+        let base_seq = self.ruu.head_seq();
+        let base_slot = self.ruu.slot_of(base_seq);
+        let len = self.ruu.len();
+        if primary_first {
+            primary.append_ring(base_slot, len, base_seq, &mut candidates);
+            dup.append_ring(base_slot, len, base_seq, &mut candidates);
+        } else if !self.is_dual() {
+            // Single-stream modes never populate the dup set; the union
+            // walk would read a second word array of zeros.
+            primary.append_ring(base_slot, len, base_seq, &mut candidates);
         } else {
-            self.ruu.collect_ready(&mut candidates);
-            if primary_first {
-                candidates.sort_by_key(|&s| (self.ruu.is_dup(s), s));
-            }
+            ReadySet::append_union_ring(primary, dup, base_slot, len, base_seq, &mut candidates);
         }
+        #[cfg(debug_assertions)]
+        self.check_issue_oracle(&candidates, primary_first);
         // Without an IRB every entry's reuse state is NotEligible, so
         // `try_bypass` can never fire: skip the call, and stop scanning
         // entirely once the issue slots are gone.

@@ -908,8 +908,9 @@ fn last_store_map_is_pruned_as_stores_commit() {
 
 #[test]
 fn scan_reference_engine_matches_event_driven() {
-    // The retained full-window scan is the oracle for the event-driven
-    // scheduler: identical SimStats on dependence-heavy, ILP-heavy and
+    // The scan is the oracle for the event-driven scheduler: debug
+    // builds check the ready bitsets and the completion calendar
+    // against it every cycle, on dependence-heavy, ILP-heavy and
     // memory-heavy kernels, in every mode.
     let mut mem =
         String::from(".data\nbuf: .space 512\n.text\nmain: la s0, buf\n li s1, 25\nloop:\n");
@@ -918,15 +919,85 @@ fn scan_reference_engine_matches_event_driven() {
     }
     mem.push_str(" addi s1, s1, -1\n bnez s1, loop\n halt\n");
     for src in [serial_chain(40), parallel_adds(40), mem] {
-        let p = assemble(&src).expect("assemble");
         for mode in [ExecMode::Sie, ExecMode::Die, ExecMode::DieIrb] {
-            let mut scan = MachineConfig::tiny();
-            scan.engine = SchedEngine::ScanReference;
-            let ev = Simulator::new(MachineConfig::tiny(), mode)
-                .run_program(&p)
-                .expect("event-driven");
-            let sc = Simulator::new(scan, mode).run_program(&p).expect("scan");
-            assert_eq!(ev, sc, "{mode:?}");
+            let s = run(&src, mode);
+            assert!(s.committed_insts > 0, "{mode:?}");
         }
     }
+}
+
+#[test]
+// A run-time check on purpose: a test profile without debug assertions
+// must fail here, by name, rather than compile the oracle out.
+#[allow(clippy::assertions_on_constants)]
+fn scheduler_oracle_is_compiled_into_test_builds() {
+    assert!(
+        cfg!(debug_assertions),
+        "the scan oracle runs only with debug assertions; keep them on in [profile.test]"
+    );
+}
+
+/// Steps `m` one cycle, as `Machine::run` does without a profiler.
+fn step(m: &mut Machine<'_>, source: &mut EmulatorSource) {
+    m.fill_lookahead(source).expect("fill");
+    m.cycle += 1;
+    m.begin_cycle();
+    m.commit();
+    m.writeback();
+    m.issue();
+    m.dispatch();
+    m.fetch(source).expect("fetch");
+}
+
+/// Runs `parallel_adds` in SIE, stepping cycle by cycle, until
+/// `corrupt` reports that it tampered with the scheduler's state; then
+/// steps on until the oracle must have seen it.
+fn tamper_mid_run(corrupt: impl Fn(&mut Machine<'_>) -> bool) {
+    let p = assemble(&parallel_adds(20)).expect("assemble");
+    let mut source = EmulatorSource::new(&p, 10_000_000);
+    let (mut tracer, mut metrics) = (NullTracer, NullMetrics);
+    let sim = Simulator::new(MachineConfig::tiny(), ExecMode::Sie);
+    let mut m = Machine::new(
+        &sim,
+        Instrumentation {
+            tracer: &mut tracer,
+            metrics: &mut metrics,
+            profiler: None,
+        },
+    );
+    let mut tampered = false;
+    for _ in 0..1_000 {
+        step(&mut m, &mut source);
+        tampered = tampered || corrupt(&mut m);
+    }
+    panic!("tampered = {tampered}, yet no oracle fired");
+}
+
+#[test]
+#[should_panic(expected = "issue oracle")]
+fn issue_oracle_catches_a_lost_ready_bit() {
+    tamper_mid_run(|m| {
+        let head = m.ruu.head_seq();
+        let Some(seq) =
+            (head..head + m.ruu.len() as u64).find(|&s| m.ruu.state(s) == EntryState::Ready)
+        else {
+            return false;
+        };
+        m.remove_ready(seq);
+        true
+    });
+}
+
+#[test]
+#[should_panic(expected = "writeback oracle")]
+fn writeback_oracle_catches_a_lost_completion() {
+    tamper_mid_run(|m| {
+        if m.calendar.pending() == 0 {
+            return false;
+        }
+        // Drop every filed completion; the issued entries they stood
+        // for still come due.
+        m.calendar = Calendar::new();
+        true
+    });
 }

@@ -796,27 +796,13 @@ impl Ruu {
         run.min(limit)
     }
 
-    /// Appends the seqs of entries issued and completing at `cycle`,
-    /// oldest-first (the scan engine's writeback selection).
-    pub fn collect_completing(&self, cycle: u64, out: &mut Vec<u64>) {
-        for i in 0..self.len as u64 {
-            let seq = self.base + i;
-            let s = (seq & self.mask) as usize;
-            if self.state[s] == EntryState::Issued && self.complete_at[s] == cycle {
-                out.push(seq);
-            }
-        }
-    }
-
-    /// Appends the seqs of [`EntryState::Ready`] entries, oldest-first
-    /// (the scan engine's issue selection).
-    pub fn collect_ready(&self, out: &mut Vec<u64>) {
-        for i in 0..self.len as u64 {
-            let seq = self.base + i;
-            if self.state[(seq & self.mask) as usize] == EntryState::Ready {
-                out.push(seq);
-            }
-        }
+    /// The live seqs in `state`, oldest first: the full-window scan the
+    /// debug-build scheduler oracle checks the ready bitsets and the
+    /// completion calendar against.
+    #[cfg(debug_assertions)]
+    pub fn scan(&self, state: EntryState) -> impl Iterator<Item = u64> + Clone + '_ {
+        (self.base..self.base + self.len as u64)
+            .filter(move |&s| self.state[(s & self.mask) as usize] == state)
     }
 
     /// Live entries currently [`EntryState::Ready`] (metrics snapshot).
@@ -1047,6 +1033,7 @@ mod tests {
         assert_eq!(r.done_run_from_head(64), 9);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn scan_collectors_walk_oldest_first() {
         let mut r = Ruu::new(8);
@@ -1059,13 +1046,9 @@ mod tests {
         r.set_complete_at(2, 9);
         r.set_state(4, EntryState::Issued);
         r.set_complete_at(4, 10);
-        let mut out = Vec::new();
-        r.collect_ready(&mut out);
-        assert_eq!(out, [1, 3]);
+        assert!(r.scan(EntryState::Ready).eq([1, 3]));
         assert_eq!(r.ready_count(), 2);
-        out.clear();
-        r.collect_completing(9, &mut out);
-        assert_eq!(out, [2]);
+        assert!(r.scan(EntryState::Issued).eq([2, 4]));
     }
 
     #[test]

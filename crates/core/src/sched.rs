@@ -8,10 +8,11 @@
 //! corresponding transition happens and *walks* exactly the work due.
 //! `DESIGN.md` ("The event-driven scheduling core" and §12) documents
 //! the invariants that keep these structures in sync with the RUU's
-//! per-entry `EntryState`.
+//! per-entry `EntryState`. Debug builds still run the scans every
+//! cycle, as an oracle the pipeline checks both structures against.
 //!
 //! Both structures have fixed backing storage sized at construction:
-//! the steady-state cycle loop is allocation-free.
+//! the steady-state cycle loop of a release build is allocation-free.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -75,6 +75,9 @@ pub enum FlagError {
     Unexpected(String),
     /// A flag or positional the binary needs is missing.
     Required(&'static str),
+    /// A flag the binary cannot honour alongside the others: the flag
+    /// and why.
+    Conflict(&'static str, &'static str),
     /// A value the binary cannot use: the flag, the value and why.
     Invalid {
         /// The flag.
@@ -95,6 +98,7 @@ impl fmt::Display for FlagError {
             FlagError::Repeated(a) => write!(f, "`{a}` is given more than once"),
             FlagError::Unexpected(a) => write!(f, "unexpected argument `{a}`"),
             FlagError::Required(a) => write!(f, "missing {a}"),
+            FlagError::Conflict(a, why) => write!(f, "`{a}` {why}"),
             FlagError::Invalid {
                 flag,
                 value,

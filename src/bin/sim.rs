@@ -240,6 +240,13 @@ fn budget(args: &Parsed) -> u64 {
 /// positional program names; a missing or unreadable one exits.
 fn read_input(args: &Parsed) -> Input {
     if let Some(path) = args.value("--trace") {
+        // A trace file replays its records; no emulation to bound.
+        if args.has("--budget") {
+            args.fail(&FlagError::Conflict(
+                "--budget",
+                "cannot be used with `--trace`",
+            ));
+        }
         let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
         let records =
             redsim_isa::trace_io::decode(&bytes).unwrap_or_else(|e| die(&format!("{path}: {e}")));

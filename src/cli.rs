@@ -25,7 +25,7 @@ const SIM_INPUT_AND_MACHINE: [Flag; 12] = [
     Flag::value("--workload", "NAME", "run a built-in workload"),
     Flag::value("--scale", "N", "workload scale (default: the workload's)"),
     Flag::value("--seed", "N", "workload input seed (one mode: also the fault seed)"),
-    Flag::value("--budget", "N", "instruction budget"),
+    Flag::value("--budget", "N", "instruction budget (not with --trace)"),
     Flag::switch("--double-alus", "Figure-2 knob: twice the integer ALUs"),
     Flag::switch("--double-ruu", "Figure-2 knob: twice the RUU"),
     Flag::switch("--double-widths", "Figure-2 knob: twice every pipeline width"),

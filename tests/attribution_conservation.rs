@@ -1,9 +1,10 @@
 //! Generative reuse-attribution conservation invariants: the
 //! per-opcode-class counters, the hot-PC table and the per-loop
 //! breakdown are three exact decompositions of the same IRB event
-//! stream. Each must sum to the aggregate [`IrbSummary`] totals — on
-//! both scheduling engines, in every execution mode, with and without
-//! fault injection, and across a watchdog cut. Attribution itself must
+//! stream. Each must sum to the aggregate [`IrbSummary`] totals — in
+//! every execution mode, with and without fault injection, and across
+//! a watchdog cut, with the debug-build scheduler oracle checking every
+//! cycle against the full-window scan. Attribution itself must
 //! be observationally pure: disabling it yields byte-identical stats,
 //! and the windowed attribution series tiles the run and sums to the
 //! final counters.
@@ -16,7 +17,7 @@
 
 use redsim::core::{
     AttrCounters, ExecMode, FaultConfig, Instrumentation, MachineConfig, MetricsCollector,
-    NullTracer, SchedEngine, SimStats, Simulator, WindowSample, REUSE_CLASSES,
+    NullTracer, SimStats, Simulator, WindowSample, REUSE_CLASSES,
 };
 use redsim::isa::{Inst, IntReg, Opcode, Program, ProgramBuilder};
 use redsim_util::Rng;
@@ -121,21 +122,16 @@ const ALL_MODES: [ExecMode; 5] = [
     ExecMode::DieCluster,
 ];
 
-const BOTH_ENGINES: [SchedEngine; 2] = [SchedEngine::EventDriven, SchedEngine::ScanReference];
-
 const WINDOW: u64 = 64;
 
 fn run(
     program: &Program,
-    engine: SchedEngine,
     mode: ExecMode,
     attribution: bool,
     faults: FaultConfig,
     watchdog: Option<u64>,
 ) -> SimStats {
-    let mut cfg = MachineConfig::tiny();
-    cfg.engine = engine;
-    let mut sim = Simulator::new(cfg, mode)
+    let mut sim = Simulator::new(MachineConfig::tiny(), mode)
         .try_with_faults(faults)
         .expect("valid fault configuration");
     if attribution {
@@ -189,18 +185,16 @@ fn class_sums_match_irb_totals_in_every_mode_on_both_engines() {
     let mut rng = Rng::new(0xA77_0001);
     for case in 0..8u64 {
         let program = gen_program(&mut rng);
-        for engine in BOTH_ENGINES {
-            for mode in ALL_MODES {
-                let ctx = format!("case {case} {engine:?} {mode:?}");
-                let stats = run(&program, engine, mode, true, FaultConfig::none(), None);
-                assert_attribution_conserves(&stats, &ctx);
-                if !mode.has_irb() {
-                    assert_eq!(
-                        stats.attribution.as_deref().unwrap().total(),
-                        AttrCounters::default(),
-                        "{ctx}: an IRB-less mode attributes nothing"
-                    );
-                }
+        for mode in ALL_MODES {
+            let ctx = format!("case {case} {mode:?}");
+            let stats = run(&program, mode, true, FaultConfig::none(), None);
+            assert_attribution_conserves(&stats, &ctx);
+            if !mode.has_irb() {
+                assert_eq!(
+                    stats.attribution.as_deref().unwrap().total(),
+                    AttrCounters::default(),
+                    "{ctx}: an IRB-less mode attributes nothing"
+                );
             }
         }
     }
@@ -217,12 +211,10 @@ fn conservation_survives_fault_injection() {
     };
     for case in 0..5u64 {
         let program = gen_program(&mut rng);
-        for engine in BOTH_ENGINES {
-            for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
-                let ctx = format!("case {case} {engine:?} {mode:?} faults");
-                let stats = run(&program, engine, mode, true, faults, None);
-                assert_attribution_conserves(&stats, &ctx);
-            }
+        for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
+            let ctx = format!("case {case} {mode:?} faults");
+            let stats = run(&program, mode, true, faults, None);
+            assert_attribution_conserves(&stats, &ctx);
         }
     }
 }
@@ -239,39 +231,24 @@ fn conservation_survives_a_watchdog_cut() {
         ..FaultConfig::none()
     };
     let program = gen_program(&mut rng);
-    for engine in BOTH_ENGINES {
-        for mode in [ExecMode::Die, ExecMode::DieIrb] {
-            let ctx = format!("{engine:?} {mode:?} watchdog");
-            let stats = run(&program, engine, mode, true, faults, Some(3_000));
-            assert!(stats.watchdog_fired, "{ctx}: fu_rate 1.0 must livelock");
-            assert_attribution_conserves(&stats, &ctx);
-        }
+    for mode in [ExecMode::Die, ExecMode::DieIrb] {
+        let ctx = format!("{mode:?} watchdog");
+        let stats = run(&program, mode, true, faults, Some(3_000));
+        assert!(stats.watchdog_fired, "{ctx}: fu_rate 1.0 must livelock");
+        assert_attribution_conserves(&stats, &ctx);
     }
 }
 
 #[test]
 fn engines_agree_on_attribution_bit_for_bit() {
     let mut rng = Rng::new(0xA77_0004);
+    // The attribution reads the IRB event stream, which the scheduler
+    // oracle holds to what the full-window scan would select.
     for case in 0..5u64 {
         let program = gen_program(&mut rng);
         for mode in ALL_MODES {
-            let ev = run(
-                &program,
-                SchedEngine::EventDriven,
-                mode,
-                true,
-                FaultConfig::none(),
-                None,
-            );
-            let sc = run(
-                &program,
-                SchedEngine::ScanReference,
-                mode,
-                true,
-                FaultConfig::none(),
-                None,
-            );
-            assert_eq!(ev, sc, "case {case} {mode:?}");
+            let stats = run(&program, mode, true, FaultConfig::none(), None);
+            assert_attribution_conserves(&stats, &format!("case {case} {mode:?}"));
         }
     }
 }
@@ -283,22 +260,20 @@ fn disabling_attribution_leaves_stats_byte_identical() {
     let mut rng = Rng::new(0xA77_0005);
     for case in 0..5u64 {
         let program = gen_program(&mut rng);
-        for engine in BOTH_ENGINES {
-            for mode in ALL_MODES {
-                let ctx = format!("case {case} {engine:?} {mode:?}");
-                let plain = run(&program, engine, mode, false, FaultConfig::none(), None);
-                assert!(
-                    plain.attribution.is_none(),
-                    "{ctx}: attribution off leaves no section"
-                );
-                assert!(
-                    !plain.to_json().to_string().contains("attribution"),
-                    "{ctx}: attribution off leaves no JSON field"
-                );
-                let mut with = run(&program, engine, mode, true, FaultConfig::none(), None);
-                with.attribution = None;
-                assert_eq!(with, plain, "{ctx}: attribution perturbed the run");
-            }
+        for mode in ALL_MODES {
+            let ctx = format!("case {case} {mode:?}");
+            let plain = run(&program, mode, false, FaultConfig::none(), None);
+            assert!(
+                plain.attribution.is_none(),
+                "{ctx}: attribution off leaves no section"
+            );
+            assert!(
+                !plain.to_json().to_string().contains("attribution"),
+                "{ctx}: attribution off leaves no JSON field"
+            );
+            let mut with = run(&program, mode, true, FaultConfig::none(), None);
+            with.attribution = None;
+            assert_eq!(with, plain, "{ctx}: attribution perturbed the run");
         }
     }
 }
@@ -308,48 +283,44 @@ fn windowed_attribution_series_tiles_the_run_and_sums_to_final_counters() {
     let mut rng = Rng::new(0xA77_0006);
     for case in 0..5u64 {
         let program = gen_program(&mut rng);
-        for engine in BOTH_ENGINES {
-            for mode in [ExecMode::SieIrb, ExecMode::DieIrb] {
-                let ctx = format!("case {case} {engine:?} {mode:?}");
-                let mut cfg = MachineConfig::tiny();
-                cfg.engine = engine;
-                let mut collector = MetricsCollector::new(WINDOW);
-                let mut tracer = NullTracer;
-                let stats = Simulator::new(cfg, mode)
-                    .with_attribution()
-                    .run_program_instrumented(
-                        &program,
-                        Instrumentation {
-                            tracer: &mut tracer,
-                            metrics: &mut collector,
-                            profiler: None,
-                        },
-                    )
-                    .expect("run completes");
-                let windows: Vec<WindowSample> = collector.into_samples();
-                let mut expected_start = 0u64;
-                let mut lookups = [0u64; REUSE_CLASSES];
-                let mut hits = [0u64; REUSE_CLASSES];
-                let mut passes = [0u64; REUSE_CLASSES];
-                for w in &windows {
-                    assert_eq!(w.start_cycle, expected_start, "{ctx}: windows tile");
-                    expected_start = w.end_cycle;
-                    for i in 0..REUSE_CLASSES {
-                        lookups[i] += w.counters.attr_lookups[i];
-                        hits[i] += w.counters.attr_hits[i];
-                        passes[i] += w.counters.attr_passes[i];
-                    }
+        for mode in [ExecMode::SieIrb, ExecMode::DieIrb] {
+            let ctx = format!("case {case} {mode:?}");
+            let mut collector = MetricsCollector::new(WINDOW);
+            let mut tracer = NullTracer;
+            let stats = Simulator::new(MachineConfig::tiny(), mode)
+                .with_attribution()
+                .run_program_instrumented(
+                    &program,
+                    Instrumentation {
+                        tracer: &mut tracer,
+                        metrics: &mut collector,
+                        profiler: None,
+                    },
+                )
+                .expect("run completes");
+            let windows: Vec<WindowSample> = collector.into_samples();
+            let mut expected_start = 0u64;
+            let mut lookups = [0u64; REUSE_CLASSES];
+            let mut hits = [0u64; REUSE_CLASSES];
+            let mut passes = [0u64; REUSE_CLASSES];
+            for w in &windows {
+                assert_eq!(w.start_cycle, expected_start, "{ctx}: windows tile");
+                expected_start = w.end_cycle;
+                for i in 0..REUSE_CLASSES {
+                    lookups[i] += w.counters.attr_lookups[i];
+                    hits[i] += w.counters.attr_hits[i];
+                    passes[i] += w.counters.attr_passes[i];
                 }
-                assert_eq!(
-                    expected_start, stats.cycles,
-                    "{ctx}: the series covers [0, cycles)"
-                );
-                let a = stats.attribution.as_deref().expect("attribution requested");
-                for (i, c) in a.classes.iter().enumerate() {
-                    assert_eq!(lookups[i], c.lookups, "{ctx}: class {i} lookups");
-                    assert_eq!(hits[i], c.hits, "{ctx}: class {i} hits");
-                    assert_eq!(passes[i], c.passes, "{ctx}: class {i} passes");
-                }
+            }
+            assert_eq!(
+                expected_start, stats.cycles,
+                "{ctx}: the series covers [0, cycles)"
+            );
+            let a = stats.attribution.as_deref().expect("attribution requested");
+            for (i, c) in a.classes.iter().enumerate() {
+                assert_eq!(lookups[i], c.lookups, "{ctx}: class {i} lookups");
+                assert_eq!(hits[i], c.hits, "{ctx}: class {i} hits");
+                assert_eq!(passes[i], c.passes, "{ctx}: class {i} passes");
             }
         }
     }
@@ -374,28 +345,18 @@ fn counted_loops_are_attributed_to_their_backedge_heads() {
         .inst(Inst::rri(Opcode::Addi, counter(), counter(), -1))
         .inst(Inst::branch(Opcode::Bne, counter(), IntReg::ZERO, -(3 * 8)));
     let program = b.inst(Inst::halt()).build();
-    for engine in BOTH_ENGINES {
-        let stats = run(
-            &program,
-            engine,
-            ExecMode::SieIrb,
-            true,
-            FaultConfig::none(),
-            None,
-        );
-        let ctx = format!("{engine:?}");
-        assert_attribution_conserves(&stats, &ctx);
-        let a = stats.attribution.as_deref().expect("attribution requested");
-        assert!(
-            stats.irb.buffer.lookups > 0,
-            "{ctx}: the loop produces IRB traffic"
-        );
-        assert!(!a.loops.is_empty(), "{ctx}: the backedge forms a loop");
-        let in_loops: u64 = a.loops.iter().map(|l| l.counters.lookups).sum();
-        assert!(
-            in_loops > 0,
-            "{ctx}: loop-body lookups are charged to the loop head"
-        );
-        assert!(!a.hot_pcs.is_empty(), "{ctx}: hot PCs are populated");
-    }
+    let stats = run(&program, ExecMode::SieIrb, true, FaultConfig::none(), None);
+    assert_attribution_conserves(&stats, "two loops");
+    let a = stats.attribution.as_deref().expect("attribution requested");
+    assert!(
+        stats.irb.buffer.lookups > 0,
+        "the loop produces IRB traffic"
+    );
+    assert!(!a.loops.is_empty(), "the backedge forms a loop");
+    let in_loops: u64 = a.loops.iter().map(|l| l.counters.lookups).sum();
+    assert!(
+        in_loops > 0,
+        "loop-body lookups are charged to the loop head"
+    );
+    assert!(!a.hot_pcs.is_empty(), "hot PCs are populated");
 }

@@ -225,6 +225,35 @@ fn every_table_refuses_unknown_and_value_less_flags() {
 }
 
 #[test]
+fn a_trace_replay_refuses_a_budget() {
+    // Regression: a replayed .rtrc ignored --budget and printed the
+    // whole trace's count for any budget.
+    let dir = tmpdir();
+    let src = write_demo(&dir);
+    let trace = dir.join("budget.rtrc");
+    let trace = trace.to_str().unwrap();
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_redsim-emu"),
+        &[src.to_str().unwrap(), "--trace-out", trace],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let sim = env!("CARGO_BIN_EXE_redsim-sim");
+    for args in [
+        &["--trace", trace, "--budget", "1000"][..],
+        &["--compare", "--trace", trace, "--budget", "1000"],
+    ] {
+        let (code, stderr) = run(sim, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("`--budget` cannot be used with `--trace`"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let (code, stderr) = run(sim, &["--trace", trace]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
 fn compare_honours_the_workload_seed() {
     // Regression: --compare generated the workload from its default
     // seed whatever --seed said, so every seed printed the same cycles.

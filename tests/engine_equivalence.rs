@@ -1,47 +1,39 @@
 //! Generative equivalence: the event-driven scheduling core against the
-//! retained full-window scan reference.
+//! full-window scan reference.
 //!
-//! The event-driven engine (per-stream ready queues + completion
-//! calendar) is a pure host-side optimization — it must produce
-//! *bit-identical* [`SimStats`] to the scan engine on every program, in
-//! every execution mode, at every window size, with and without fault
-//! injection. These tests draw random programs from a fixed-seed
-//! [`redsim_util::Rng`] (the mixed flavour of the shared generator in
-//! `programs/mod.rs`: straight-line code with forward-only branches, so
-//! everything terminates) and diff the two engines' complete statistics
-//! structs.
+//! The event-driven scheduler (per-stream ready bitsets + completion
+//! calendar) is a pure host-side optimization: every cycle it must
+//! select exactly the entries the O(window) scans would, on every
+//! program, in every execution mode, at every window size, with and
+//! without fault injection. Debug builds (the test profile) check that
+//! inside the cycle loop: issue and writeback compare their selection
+//! with the full-window scan (`Ruu::scan`) and panic, naming the cycle,
+//! on any difference. These tests draw random programs from a
+//! fixed-seed [`redsim_util::Rng`] (the mixed flavour of the shared
+//! generator in `programs/mod.rs`: straight-line code with forward-only
+//! branches, so everything terminates) and run each one under that
+//! oracle.
 //!
 //! A failing case replays exactly under `cargo test`.
 
-use redsim::core::{ExecMode, FaultConfig, MachineConfig, SchedEngine, SimStats, Simulator};
+use redsim::core::{ExecMode, FaultConfig, MachineConfig, SimStats, Simulator};
 use redsim::isa::Program;
 use redsim_util::Rng;
 
 mod programs;
 
-/// Runs `program` under both engines with otherwise-identical
-/// configuration and returns the two stats structs.
-fn both_engines(
+/// Runs `program` once; the scheduler oracle checks every cycle.
+fn checked_run(
     program: &Program,
     cfg: &MachineConfig,
     mode: ExecMode,
     faults: FaultConfig,
-) -> (SimStats, SimStats) {
-    let mut scan = cfg.clone();
-    scan.engine = SchedEngine::ScanReference;
-    let mut event = cfg.clone();
-    event.engine = SchedEngine::EventDriven;
-    let ev = Simulator::new(event, mode)
+) -> SimStats {
+    Simulator::new(cfg.clone(), mode)
         .try_with_faults(faults)
         .expect("valid fault configuration")
         .run_program(program)
-        .expect("event-driven run");
-    let sc = Simulator::new(scan, mode)
-        .try_with_faults(faults)
-        .expect("valid fault configuration")
-        .run_program(program)
-        .expect("scan-reference run");
-    (ev, sc)
+        .expect("run completes")
 }
 
 const ALL_MODES: [ExecMode; 5] = [
@@ -59,8 +51,8 @@ fn engines_agree_on_any_program_in_every_mode() {
     for case in 0..16u64 {
         let program = programs::MIXED.program(&mut rng, 5, 120);
         for mode in ALL_MODES {
-            let (ev, sc) = both_engines(&program, &cfg, mode, FaultConfig::none());
-            assert_eq!(ev, sc, "case {case} {mode:?}");
+            let s = checked_run(&program, &cfg, mode, FaultConfig::none());
+            assert!(s.committed_insts > 0, "case {case} {mode:?}");
         }
     }
 }
@@ -68,9 +60,9 @@ fn engines_agree_on_any_program_in_every_mode() {
 #[test]
 fn engines_agree_at_paper_scale_windows() {
     // The full-size RUU (and its doubled variant) is where the scan
-    // engine pays O(window) per cycle — and where an event-driven
-    // bookkeeping slip (an entry left in a ready queue, a calendar slot
-    // off by one) would most plausibly change scheduling order.
+    // pays O(window) per cycle — and where an event-driven bookkeeping
+    // slip (an entry left in a ready set, a calendar slot off by one)
+    // would most plausibly change scheduling order.
     let mut rng = Rng::new(0xE0E_0002);
     let base = MachineConfig::paper_baseline();
     let big = MachineConfig::paper_baseline().with_double_ruu();
@@ -78,8 +70,8 @@ fn engines_agree_at_paper_scale_windows() {
         let program = programs::MIXED.program(&mut rng, 40, 160);
         for (name, cfg) in [("paper", &base), ("2xruu", &big)] {
             for mode in [ExecMode::Sie, ExecMode::Die, ExecMode::DieIrb] {
-                let (ev, sc) = both_engines(&program, cfg, mode, FaultConfig::none());
-                assert_eq!(ev, sc, "case {case} {name} {mode:?}");
+                let s = checked_run(&program, cfg, mode, FaultConfig::none());
+                assert!(s.committed_insts > 0, "case {case} {name} {mode:?}");
             }
         }
     }
@@ -88,8 +80,8 @@ fn engines_agree_at_paper_scale_windows() {
 #[test]
 fn engines_agree_under_fault_injection() {
     // Faults add the recovery paths (pair mismatches, IRB strikes,
-    // squash-free re-execution) to the schedule; the engines must still
-    // walk them identically.
+    // squash-free re-execution) to the schedule; the event-driven
+    // structures must still track them exactly.
     let mut rng = Rng::new(0xE0E_0003);
     let cfg = MachineConfig::tiny();
     let faults = FaultConfig {
@@ -101,8 +93,8 @@ fn engines_agree_under_fault_injection() {
     for case in 0..8u64 {
         let program = programs::MIXED.program(&mut rng, 20, 120);
         for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
-            let (ev, sc) = both_engines(&program, &cfg, mode, faults);
-            assert_eq!(ev, sc, "case {case} {mode:?}");
+            let s = checked_run(&program, &cfg, mode, faults);
+            assert!(s.committed_insts > 0, "case {case} {mode:?}");
         }
     }
 }
@@ -111,10 +103,8 @@ fn engines_agree_under_fault_injection() {
 fn fault_lifecycle_is_conserved_and_identical_in_every_mode() {
     // The four-way lifecycle classification (detected / masked / silent
     // / hang) must account for every injected fault exactly once —
-    // generatively, in all five execution modes, on both engines (the
-    // full-struct equality already proves the engines' lifecycle blocks
-    // bit-identical; the invariants below pin the classification
-    // itself).
+    // generatively, in all five execution modes, under the scheduler
+    // oracle.
     let mut rng = Rng::new(0xE0E_0004);
     let cfg = MachineConfig::tiny();
     let faults = FaultConfig {
@@ -126,9 +116,8 @@ fn fault_lifecycle_is_conserved_and_identical_in_every_mode() {
     for case in 0..8u64 {
         let program = programs::MIXED.program(&mut rng, 20, 120);
         for mode in ALL_MODES {
-            let (ev, sc) = both_engines(&program, &cfg, mode, faults);
-            assert_eq!(ev, sc, "case {case} {mode:?}");
-            let l = ev.fault_lifecycle;
+            let stats = checked_run(&program, &cfg, mode, faults);
+            let l = stats.fault_lifecycle;
             assert!(
                 l.conservation_holds(),
                 "case {case} {mode:?}: injected {} != {} detected + {} masked \
@@ -141,7 +130,9 @@ fn fault_lifecycle_is_conserved_and_identical_in_every_mode() {
             );
             assert_eq!(
                 l.injected,
-                ev.faults.injected_fu + ev.faults.injected_forward + ev.faults.injected_irb,
+                stats.faults.injected_fu
+                    + stats.faults.injected_forward
+                    + stats.faults.injected_irb,
                 "case {case} {mode:?}: every legacy-counted strike has a lifecycle record"
             );
             // No watchdog is armed, so nothing may classify as a hang.

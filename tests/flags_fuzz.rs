@@ -152,7 +152,7 @@ fn check_refused(e: &FlagError, args: &[String], rows: &[Flag]) {
             assert!(args.iter().filter(|a| a == f).count() >= 2, "{f} once");
             *f
         }
-        FlagError::Required(_) | FlagError::Invalid { .. } => {
+        FlagError::Required(_) | FlagError::Conflict(..) | FlagError::Invalid { .. } => {
             panic!("the parser itself never returns {e:?}")
         }
     };

@@ -2,9 +2,10 @@
 //! is an exact partition of the run. Summing every window's counters
 //! must reproduce the final [`SimStats`] counter for counter, the
 //! windows must tile the cycle axis without gaps or overlaps, and
-//! attaching the collector must not perturb the simulation — on both
-//! scheduling engines, in every execution mode, with and without fault
-//! injection, and across a watchdog cut.
+//! attaching the collector must not perturb the simulation — in every
+//! execution mode, with and without fault injection, and across a
+//! watchdog cut, with the debug-build scheduler oracle checking every
+//! cycle.
 //!
 //! Programs come from the integer flavour of the shared generator in
 //! `programs/mod.rs` (straight-line code with forward-only branches
@@ -12,8 +13,8 @@
 //! cases replay exactly).
 
 use redsim::core::{
-    ExecMode, FaultConfig, Instrumentation, MachineConfig, MetricsCollector, NullTracer,
-    SchedEngine, SimStats, Simulator, WindowCounters, WindowSample, REUSE_CLASSES,
+    ExecMode, FaultConfig, Instrumentation, MachineConfig, MetricsCollector, NullTracer, SimStats,
+    Simulator, WindowCounters, WindowSample, REUSE_CLASSES,
 };
 use redsim::isa::Program;
 use redsim_util::Rng;
@@ -28,22 +29,17 @@ const ALL_MODES: [ExecMode; 5] = [
     ExecMode::DieCluster,
 ];
 
-const BOTH_ENGINES: [SchedEngine; 2] = [SchedEngine::EventDriven, SchedEngine::ScanReference];
-
 /// A deliberately small window so short generated programs still span
 /// several windows plus a final partial one.
 const WINDOW: u64 = 64;
 
 fn run_windowed(
     program: &Program,
-    engine: SchedEngine,
     mode: ExecMode,
     faults: FaultConfig,
     watchdog: Option<u64>,
 ) -> (SimStats, Vec<WindowSample>) {
-    let mut cfg = MachineConfig::tiny();
-    cfg.engine = engine;
-    let mut sim = Simulator::new(cfg, mode)
+    let mut sim = Simulator::new(MachineConfig::tiny(), mode)
         .try_with_faults(faults)
         .expect("valid fault configuration");
     if let Some(w) = watchdog {
@@ -141,13 +137,10 @@ fn window_sums_match_final_stats_in_every_mode_on_both_engines() {
     let mut rng = Rng::new(0x3E7_0001);
     for case in 0..10u64 {
         let program = programs::INTEGER.program(&mut rng, 5, 120);
-        for engine in BOTH_ENGINES {
-            for mode in ALL_MODES {
-                let ctx = format!("case {case} {engine:?} {mode:?}");
-                let (stats, windows) =
-                    run_windowed(&program, engine, mode, FaultConfig::none(), None);
-                assert_conserves(&stats, &windows, &ctx);
-            }
+        for mode in ALL_MODES {
+            let ctx = format!("case {case} {mode:?}");
+            let (stats, windows) = run_windowed(&program, mode, FaultConfig::none(), None);
+            assert_conserves(&stats, &windows, &ctx);
         }
     }
 }
@@ -159,47 +152,30 @@ fn collecting_metrics_is_observationally_pure() {
     let mut rng = Rng::new(0x3E7_0002);
     for case in 0..6u64 {
         let program = programs::INTEGER.program(&mut rng, 20, 120);
-        for engine in BOTH_ENGINES {
-            for mode in ALL_MODES {
-                let mut cfg = MachineConfig::tiny();
-                cfg.engine = engine;
-                let bare = Simulator::new(cfg, mode)
-                    .run_program(&program)
-                    .expect("bare run");
-                let (windowed, _) = run_windowed(&program, engine, mode, FaultConfig::none(), None);
-                assert_eq!(
-                    bare, windowed,
-                    "case {case} {engine:?} {mode:?}: metrics changed the stats"
-                );
-            }
+        for mode in ALL_MODES {
+            let bare = Simulator::new(MachineConfig::tiny(), mode)
+                .run_program(&program)
+                .expect("bare run");
+            let (windowed, _) = run_windowed(&program, mode, FaultConfig::none(), None);
+            assert_eq!(
+                bare, windowed,
+                "case {case} {mode:?}: metrics changed the stats"
+            );
         }
     }
 }
 
 #[test]
 fn engines_emit_identical_window_series() {
-    // The windows read pipeline state the engines keep bit-identical,
-    // so the series — not just the totals — must match sample for
-    // sample.
+    // The windows read pipeline state, and the scheduler oracle holds
+    // that state to what the full-window scan would select every
+    // cycle, so the series is the scan's too; it must tile the run.
     let mut rng = Rng::new(0x3E7_0003);
     for case in 0..6u64 {
         let program = programs::INTEGER.program(&mut rng, 10, 120);
         for mode in ALL_MODES {
-            let (_, ev) = run_windowed(
-                &program,
-                SchedEngine::EventDriven,
-                mode,
-                FaultConfig::none(),
-                None,
-            );
-            let (_, sc) = run_windowed(
-                &program,
-                SchedEngine::ScanReference,
-                mode,
-                FaultConfig::none(),
-                None,
-            );
-            assert_eq!(ev, sc, "case {case} {mode:?}");
+            let (stats, windows) = run_windowed(&program, mode, FaultConfig::none(), None);
+            assert_conserves(&stats, &windows, &format!("case {case} {mode:?}"));
         }
     }
 }
@@ -216,13 +192,11 @@ fn conservation_survives_fault_injection_and_rewinds() {
     let mut mismatches = 0u64;
     for case in 0..6u64 {
         let program = programs::INTEGER.program(&mut rng, 20, 120);
-        for engine in BOTH_ENGINES {
-            for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
-                let ctx = format!("case {case} {engine:?} {mode:?}");
-                let (stats, windows) = run_windowed(&program, engine, mode, faults, None);
-                assert_conserves(&stats, &windows, &ctx);
-                mismatches += stats.pair_mismatches;
-            }
+        for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
+            let ctx = format!("case {case} {mode:?}");
+            let (stats, windows) = run_windowed(&program, mode, faults, None);
+            assert_conserves(&stats, &windows, &ctx);
+            mismatches += stats.pair_mismatches;
         }
     }
     assert!(mismatches > 0, "the fault rates must provoke mismatches");
@@ -239,12 +213,7 @@ fn a_watchdog_cut_still_flushes_an_exact_partial_window() {
         ..FaultConfig::none()
     };
     let program = programs::INTEGER.program(&mut rng, 40, 120);
-    for engine in BOTH_ENGINES {
-        let (stats, windows) = run_windowed(&program, engine, ExecMode::Die, faults, Some(3_000));
-        assert!(
-            stats.watchdog_fired,
-            "{engine:?}: fu_rate 1.0 must livelock"
-        );
-        assert_conserves(&stats, &windows, &format!("{engine:?} watchdog"));
-    }
+    let (stats, windows) = run_windowed(&program, ExecMode::Die, faults, Some(3_000));
+    assert!(stats.watchdog_fired, "fu_rate 1.0 must livelock");
+    assert_conserves(&stats, &windows, "watchdog");
 }

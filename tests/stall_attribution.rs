@@ -1,9 +1,11 @@
 //! Generative stall-attribution invariants: every simulated cycle is
 //! either productive (at least one commit) or attributed to exactly one
-//! stall bucket, on both scheduling engines, in every execution mode,
-//! with and without fault injection, and even when the watchdog cuts a
-//! run short. The observability layer itself must be pure: tracing a
-//! run cannot change its statistics.
+//! stall bucket, in every execution mode, with and without fault
+//! injection, and even when the watchdog cuts a run short. Every run
+//! goes through the debug-build scheduler oracle, which checks the
+//! event-driven scheduler against the full-window scan each cycle. The
+//! observability layer itself must be pure: tracing a run cannot change
+//! its statistics.
 //!
 //! Programs come from the integer flavour of the shared generator in
 //! `programs/mod.rs` (straight-line code with forward-only branches
@@ -11,8 +13,8 @@
 //! cases replay exactly).
 
 use redsim::core::{
-    EventLog, ExecMode, FaultConfig, Instrumentation, MachineConfig, NullMetrics, SchedEngine,
-    SimStats, Simulator, TraceEvent, Tracer,
+    EventLog, ExecMode, FaultConfig, Instrumentation, MachineConfig, NullMetrics, SimStats,
+    Simulator, TraceEvent, Tracer,
 };
 use redsim::isa::Program;
 use redsim_util::Rng;
@@ -27,18 +29,13 @@ const ALL_MODES: [ExecMode; 5] = [
     ExecMode::DieCluster,
 ];
 
-const BOTH_ENGINES: [SchedEngine; 2] = [SchedEngine::EventDriven, SchedEngine::ScanReference];
-
 fn run_one(
     program: &Program,
-    engine: SchedEngine,
     mode: ExecMode,
     faults: FaultConfig,
     watchdog: Option<u64>,
 ) -> SimStats {
-    let mut cfg = MachineConfig::tiny();
-    cfg.engine = engine;
-    let mut sim = Simulator::new(cfg, mode)
+    let mut sim = Simulator::new(MachineConfig::tiny(), mode)
         .try_with_faults(faults)
         .expect("valid fault configuration");
     if let Some(w) = watchdog {
@@ -63,12 +60,10 @@ fn every_cycle_is_attributed_in_every_mode_on_both_engines() {
     let mut rng = Rng::new(0x57A_0001);
     for case in 0..12u64 {
         let program = programs::INTEGER.program(&mut rng, 5, 120);
-        for engine in BOTH_ENGINES {
-            for mode in ALL_MODES {
-                let s = run_one(&program, engine, mode, FaultConfig::none(), None);
-                assert_conserves(&s, &format!("case {case} {engine:?} {mode:?}"));
-                assert!(s.active_commit_cycles > 0, "something committed");
-            }
+        for mode in ALL_MODES {
+            let s = run_one(&program, mode, FaultConfig::none(), None);
+            assert_conserves(&s, &format!("case {case} {mode:?}"));
+            assert!(s.active_commit_cycles > 0, "something committed");
         }
     }
 }
@@ -85,13 +80,11 @@ fn attribution_survives_fault_injection_and_rewinds() {
     let (mut mismatches, mut rewind_stalls) = (0u64, 0u64);
     for case in 0..8u64 {
         let program = programs::INTEGER.program(&mut rng, 20, 120);
-        for engine in BOTH_ENGINES {
-            for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
-                let s = run_one(&program, engine, mode, faults, None);
-                assert_conserves(&s, &format!("case {case} {engine:?} {mode:?}"));
-                mismatches += s.pair_mismatches;
-                rewind_stalls += s.stalls.rewind;
-            }
+        for mode in [ExecMode::Die, ExecMode::DieIrb, ExecMode::DieCluster] {
+            let s = run_one(&program, mode, faults, None);
+            assert_conserves(&s, &format!("case {case} {mode:?}"));
+            mismatches += s.pair_mismatches;
+            rewind_stalls += s.stalls.rewind;
         }
     }
     // A single rewind cycle can still commit an older instruction and
@@ -115,40 +108,22 @@ fn attribution_survives_a_watchdog_cut() {
         ..FaultConfig::none()
     };
     let program = programs::INTEGER.program(&mut rng, 40, 120);
-    for engine in BOTH_ENGINES {
-        let s = run_one(&program, engine, ExecMode::Die, faults, Some(3_000));
-        assert!(s.watchdog_fired, "{engine:?}: fu_rate 1.0 must livelock");
-        assert_conserves(&s, &format!("{engine:?} watchdog"));
-    }
+    let s = run_one(&program, ExecMode::Die, faults, Some(3_000));
+    assert!(s.watchdog_fired, "fu_rate 1.0 must livelock");
+    assert_conserves(&s, "watchdog");
 }
 
 #[test]
 fn engines_attribute_stalls_identically() {
-    // The stall counters derive purely from pipeline state the engines
-    // already keep bit-identical, so the breakdowns must match too.
+    // The stall counters derive purely from pipeline state, and the
+    // scheduler oracle holds that state to what the full-window scan
+    // would select, so the breakdown is the scan's too.
     let mut rng = Rng::new(0x57A_0004);
     for case in 0..8u64 {
         let program = programs::INTEGER.program(&mut rng, 10, 120);
         for mode in ALL_MODES {
-            let ev = run_one(
-                &program,
-                SchedEngine::EventDriven,
-                mode,
-                FaultConfig::none(),
-                None,
-            );
-            let sc = run_one(
-                &program,
-                SchedEngine::ScanReference,
-                mode,
-                FaultConfig::none(),
-                None,
-            );
-            assert_eq!(ev.stalls, sc.stalls, "case {case} {mode:?}");
-            assert_eq!(
-                ev.active_commit_cycles, sc.active_commit_cycles,
-                "case {case} {mode:?}"
-            );
+            let s = run_one(&program, mode, FaultConfig::none(), None);
+            assert_conserves(&s, &format!("case {case} {mode:?}"));
         }
     }
 }

@@ -4,14 +4,15 @@
 //! [`Trace`] recipe (program + committed count) and also run once
 //! through `Emulator::run_trace` into plain records. Replaying the
 //! recipe must yield those records one for one, drive the timing model
-//! to byte-identical statistics on both scheduling engines (in all five
-//! execution modes for each workload's default seed, one rotating mode
-//! for the other seeds, and under functional-unit faults), and a recipe
-//! whose count disagrees with its replay must fail with a typed error.
+//! to byte-identical statistics (in all five execution modes for each
+//! workload's default seed, one rotating mode for the other seeds, and
+//! under functional-unit faults) with the debug-build scheduler oracle
+//! checking every cycle, and a recipe whose count disagrees with its
+//! replay must fail with a typed error.
 
 use redsim::core::{
-    ExecMode, FaultConfig, InstructionSource, MachineConfig, SchedEngine, SimError, Simulator,
-    SliceSource, TraceSource,
+    ExecMode, FaultConfig, InstructionSource, MachineConfig, SimError, Simulator, SliceSource,
+    TraceSource,
 };
 use redsim::isa::emu::Emulator;
 use redsim::isa::trace::{DynInst, Trace};
@@ -112,20 +113,16 @@ fn replay_is_byte_identical_in_every_mode_on_both_engines() {
         } else {
             std::slice::from_ref(&ALL_MODES[k % ALL_MODES.len()])
         };
-        for engine in [SchedEngine::EventDriven, SchedEngine::ScanReference] {
-            let mut cfg = MachineConfig::paper_baseline();
-            cfg.engine = engine;
-            for &mode in modes {
-                assert_eq!(
-                    stats_json(&cfg, mode, FaultConfig::none(), Source::Replay(trace)),
-                    stats_json(&cfg, mode, FaultConfig::none(), Source::Slice(plain)),
-                    "{label} {engine:?} {mode:?}"
-                );
-            }
+        let cfg = MachineConfig::paper_baseline();
+        for &mode in modes {
+            assert_eq!(
+                stats_json(&cfg, mode, FaultConfig::none(), Source::Replay(trace)),
+                stats_json(&cfg, mode, FaultConfig::none(), Source::Slice(plain)),
+                "{label} {mode:?}"
+            );
         }
         // One functional-unit fault run per workload.
         if k % 3 == 0 {
-            let cfg = MachineConfig::paper_baseline();
             assert_eq!(
                 stats_json(&cfg, ExecMode::Die, fu_faults, Source::Replay(trace)),
                 stats_json(&cfg, ExecMode::Die, fu_faults, Source::Slice(plain)),

@@ -14,16 +14,16 @@
 //!    compared against a literal slot-by-slot scan.
 //! 2. End to end: random wakeup-heavy programs (long-latency producers
 //!    with wide consumer fan-out, dependence chains, issue-saturating
-//!    bursts) run under both [`SchedEngine`]s in all five execution
-//!    modes; the scan engine *is* the naive per-entry scan, so
-//!    bit-identical [`SimStats`] proves the bitset path selects the
-//!    same instructions in the same order every cycle.
+//!    bursts) run in all five execution modes under the debug-build
+//!    scheduler oracle, which compares every cycle's issue candidates
+//!    with the naive per-entry scan (`Ruu::scan`) and panics
+//!    on the first cycle they differ in membership or order.
 //!
 //! A failing case replays exactly under `cargo test` (fixed-seed
 //! [`redsim_util::Rng`]).
 
 use redsim::core::sched::ReadySet;
-use redsim::core::{ExecMode, FaultConfig, MachineConfig, SchedEngine, SimStats, Simulator};
+use redsim::core::{ExecMode, MachineConfig, SimStats, Simulator};
 use redsim::isa::{FpReg, Inst, IntReg, Opcode, Program, ProgramBuilder};
 use redsim_util::Rng;
 
@@ -261,24 +261,11 @@ fn gen_program(rng: &mut Rng, lo: u64, hi: u64) -> Program {
     b.inst(Inst::halt()).build()
 }
 
-/// Runs `program` under both engines with otherwise-identical
-/// configuration and returns the two stats structs.
-fn both_engines(program: &Program, cfg: &MachineConfig, mode: ExecMode) -> (SimStats, SimStats) {
-    let mut scan = cfg.clone();
-    scan.engine = SchedEngine::ScanReference;
-    let mut event = cfg.clone();
-    event.engine = SchedEngine::EventDriven;
-    let ev = Simulator::new(event, mode)
-        .try_with_faults(FaultConfig::none())
-        .expect("valid fault configuration")
+/// Runs `program` once; the scheduler oracle checks every cycle.
+fn checked_run(program: &Program, cfg: &MachineConfig, mode: ExecMode) -> SimStats {
+    Simulator::new(cfg.clone(), mode)
         .run_program(program)
-        .expect("event-driven run");
-    let sc = Simulator::new(scan, mode)
-        .try_with_faults(FaultConfig::none())
-        .expect("valid fault configuration")
-        .run_program(program)
-        .expect("scan-reference run");
-    (ev, sc)
+        .expect("run completes")
 }
 
 const ALL_MODES: [ExecMode; 5] = [
@@ -296,8 +283,8 @@ fn wakeup_heavy_programs_agree_in_every_mode() {
     for case in 0..12u64 {
         let program = gen_program(&mut rng, 30, 160);
         for mode in ALL_MODES {
-            let (ev, sc) = both_engines(&program, &cfg, mode);
-            assert_eq!(ev, sc, "case {case} {mode:?}");
+            let s = checked_run(&program, &cfg, mode);
+            assert!(s.committed_insts > 0, "case {case} {mode:?}");
         }
     }
 }
@@ -314,8 +301,8 @@ fn wakeup_heavy_programs_agree_at_paper_scale() {
         let program = gen_program(&mut rng, 60, 200);
         for (name, cfg) in [("paper", &base), ("2xruu", &big)] {
             for mode in ALL_MODES {
-                let (ev, sc) = both_engines(&program, cfg, mode);
-                assert_eq!(ev, sc, "case {case} {name} {mode:?}");
+                let s = checked_run(&program, cfg, mode);
+                assert!(s.committed_insts > 0, "case {case} {name} {mode:?}");
             }
         }
     }
