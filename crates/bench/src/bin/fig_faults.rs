@@ -18,7 +18,10 @@
 //! `--seeds N` replicates every scenario across `N` independent fault
 //! seeds and reports mean±stddev per column (`FAULTS_CLI`).
 
-use redsim_bench::{apply_rate_overrides, finish, pm, Cli, Harness, Job, Table, FAULTS_CLI};
+use redsim_bench::{
+    apply_rate_overrides, finish, pm, Cli, Harness, Job, Table, BUS_STRIKES, FAULTS_CLI,
+    FU_STRIKES, IRB_STRIKES,
+};
 use redsim_core::{ExecMode, FaultConfig, MachineConfig, SimStats};
 use redsim_workloads::Workload;
 
@@ -34,60 +37,20 @@ fn main() {
     ];
 
     let mut scenarios: Vec<(&str, ExecMode, FaultConfig)> = vec![
-        (
-            "DIE / FU strikes",
-            ExecMode::Die,
-            FaultConfig {
-                fu_rate: 2e-4,
-                seed: 11,
-                ..FaultConfig::none()
-            },
-        ),
-        (
-            "DIE-IRB / FU strikes",
-            ExecMode::DieIrb,
-            FaultConfig {
-                fu_rate: 2e-4,
-                seed: 11,
-                ..FaultConfig::none()
-            },
-        ),
-        (
-            "DIE-IRB / IRB strikes",
-            ExecMode::DieIrb,
-            FaultConfig {
-                irb_rate: 0.05,
-                seed: 13,
-                ..FaultConfig::none()
-            },
-        ),
+        ("DIE / FU strikes", ExecMode::Die, FU_STRIKES),
+        ("DIE-IRB / FU strikes", ExecMode::DieIrb, FU_STRIKES),
+        ("DIE-IRB / IRB strikes", ExecMode::DieIrb, IRB_STRIKES),
         (
             "DIE-IRB / bus strikes (shared fwd)",
             ExecMode::DieIrb,
-            FaultConfig {
-                forward_rate: 1e-4,
-                seed: 17,
-                ..FaultConfig::none()
-            },
+            BUS_STRIKES,
         ),
         (
             "DIE / bus strikes (per-stream fwd)",
             ExecMode::Die,
-            FaultConfig {
-                forward_rate: 1e-4,
-                seed: 17,
-                ..FaultConfig::none()
-            },
+            BUS_STRIKES,
         ),
-        (
-            "SIE / FU strikes",
-            ExecMode::Sie,
-            FaultConfig {
-                fu_rate: 2e-4,
-                seed: 11,
-                ..FaultConfig::none()
-            },
-        ),
+        ("SIE / FU strikes", ExecMode::Sie, FU_STRIKES),
     ];
 
     apply_rate_overrides(&cli, scenarios.iter_mut().map(|(name, _, fc)| (*name, fc)));

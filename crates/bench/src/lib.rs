@@ -83,6 +83,24 @@ pub const RATE_FLAGS: [Flag; 3] = [
     Flag::value("--forward-rate", "R", "strike rate of the forwarding-bus scenarios"),
     Flag::value("--irb-rate", "R", "strike rate of the IRB scenarios"),
 ];
+/// The §3.4 functional-unit strikes of `fig_faults` and `fig_coverage`.
+pub const FU_STRIKES: FaultConfig = FaultConfig {
+    fu_rate: 2e-4,
+    seed: 11,
+    ..FaultConfig::none()
+};
+/// The §3.4 IRB-array strikes.
+pub const IRB_STRIKES: FaultConfig = FaultConfig {
+    irb_rate: 0.05,
+    seed: 13,
+    ..FaultConfig::none()
+};
+/// The §3.4 forwarding-bus strikes.
+pub const BUS_STRIKES: FaultConfig = FaultConfig {
+    forward_rate: 1e-4,
+    seed: 17,
+    ..FaultConfig::none()
+};
 /// The grid figures, `fig_reuse_anatomy` and `table_config`.
 pub const FIGURE_CLI: FlagTable = FlagTable::new("[options]", 0, &[&SHARED_FLAGS]);
 /// `fig_recovery`.

@@ -22,37 +22,21 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use redsim_bench::{apply_rate_overrides, emit, pm, Cli, Table};
+use redsim_bench::{
+    apply_rate_overrides, emit, pm, Cli, Table, BUS_STRIKES, FU_STRIKES, IRB_STRIKES,
+};
 use redsim_campaign::{
     exit_codes, run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignSpec,
     HangDumpOptions, Scenario, COVERAGE_CLI,
 };
-use redsim_core::{
-    ExecMode, FaultConfig, ForwardingPolicy, StallBreakdown, StallSummary, Throughput,
-};
+use redsim_core::{ExecMode, FaultLifecycle, ForwardingPolicy, Throughput};
 use redsim_util::flags::FlagError;
 use redsim_util::io::{ChaosConfig, ChaosIo, FsyncPolicy, RealIo};
-use redsim_util::Json;
 use redsim_workloads::Workload;
 
 fn spec_from_cli(cli: &Cli) -> CampaignSpec {
     let shared = ForwardingPolicy::PrimaryToBoth;
     let per_stream = ForwardingPolicy::PerStream;
-    let fu = FaultConfig {
-        fu_rate: 2e-4,
-        seed: 11,
-        ..FaultConfig::none()
-    };
-    let irb = FaultConfig {
-        irb_rate: 0.05,
-        seed: 13,
-        ..FaultConfig::none()
-    };
-    let bus = FaultConfig {
-        forward_rate: 1e-4,
-        seed: 17,
-        ..FaultConfig::none()
-    };
     let sc = |name: &str, mode, faults, forwarding| Scenario {
         name: name.to_owned(),
         mode,
@@ -60,13 +44,18 @@ fn spec_from_cli(cli: &Cli) -> CampaignSpec {
         forwarding,
     };
     let mut scenarios = vec![
-        sc("sie/fu", ExecMode::Sie, fu, shared),
-        sc("die/fu", ExecMode::Die, fu, shared),
-        sc("die-irb/fu", ExecMode::DieIrb, fu, shared),
-        sc("die-irb/irb", ExecMode::DieIrb, irb, shared),
-        sc("die-irb/bus-shared", ExecMode::DieIrb, bus, shared),
-        sc("die/bus-per-stream", ExecMode::Die, bus, per_stream),
-        sc("die-irb/bus-per-stream", ExecMode::DieIrb, bus, per_stream),
+        sc("sie/fu", ExecMode::Sie, FU_STRIKES, shared),
+        sc("die/fu", ExecMode::Die, FU_STRIKES, shared),
+        sc("die-irb/fu", ExecMode::DieIrb, FU_STRIKES, shared),
+        sc("die-irb/irb", ExecMode::DieIrb, IRB_STRIKES, shared),
+        sc("die-irb/bus-shared", ExecMode::DieIrb, BUS_STRIKES, shared),
+        sc("die/bus-per-stream", ExecMode::Die, BUS_STRIKES, per_stream),
+        sc(
+            "die-irb/bus-per-stream",
+            ExecMode::DieIrb,
+            BUS_STRIKES,
+            per_stream,
+        ),
     ];
     apply_rate_overrides(
         cli,
@@ -163,27 +152,9 @@ fn main() {
         }
     };
 
-    // Campaign-wide stall accounting, folded back out of the manifest
-    // records (the shards ran inside `run_campaign`, not our harness).
-    let mut stalls = StallSummary::default();
-    for line in &report.records {
-        let j = Json::parse(line).expect("report records parse");
-        if j.get("ok").and_then(Json::as_bool) != Some(true) {
-            continue;
-        }
-        stalls.cycles += j.get("cycles").and_then(Json::as_u64).unwrap_or(0);
-        stalls.productive_cycles += j
-            .get("active_commit_cycles")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if let Some(b) = j.get("stalls").and_then(StallBreakdown::from_json) {
-            stalls.stalls.add(&b);
-        }
-    }
-
-    // Per-scenario rows, aggregated per replica across workloads so
-    // `--seeds N` yields N samples per cell (mean±stddev via `pm`).
-    let seeds = spec.seeds as usize;
+    // Per-scenario rows over the replicas (each summed across
+    // workloads), so `--seeds N` yields N samples per cell
+    // (mean±stddev via `pm`).
     let mut table = Table::new(vec![
         "scenario",
         "injected",
@@ -195,68 +166,18 @@ fn main() {
         "avf",
         "mean-det-lat",
     ]);
-    for (si, sc) in spec.scenarios.iter().enumerate() {
-        let mut injected = vec![0u64; seeds];
-        let mut detected = vec![0u64; seeds];
-        let mut masked = vec![0u64; seeds];
-        let mut silent = vec![0u64; seeds];
-        let mut hung = vec![0u64; seeds];
-        let mut lat_sum = vec![0u64; seeds];
-        for line in &report.records {
-            let j = Json::parse(line).expect("report records parse");
-            if j.get("scenario").and_then(Json::as_u64) != Some(si as u64)
-                || j.get("ok").and_then(Json::as_bool) != Some(true)
-            {
-                continue;
-            }
-            let rep = j.get("rep").and_then(Json::as_u64).expect("rep") as usize;
-            let l = j.get("lifecycle").expect("lifecycle");
-            let g = |k: &str| l.get(k).and_then(Json::as_u64).unwrap_or(0);
-            injected[rep] += g("injected");
-            detected[rep] += g("detected");
-            masked[rep] += g("masked");
-            silent[rep] += g("silent");
-            hung[rep] += g("hung");
-            lat_sum[rep] += g("detection_latency_sum");
-        }
-        let f = |v: &[u64]| -> Vec<f64> { v.iter().map(|&x| x as f64).collect() };
-        let coverage: Vec<f64> = detected
-            .iter()
-            .zip(&silent)
-            .map(|(&d, &s)| {
-                if d + s > 0 {
-                    d as f64 / (d + s) as f64 * 100.0
-                } else {
-                    100.0
-                }
-            })
-            .collect();
-        let avf: Vec<f64> = injected
-            .iter()
-            .zip(detected.iter().zip(&silent))
-            .map(|(&i, (&d, &s))| {
-                if i > 0 {
-                    (d + s) as f64 / i as f64
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let lat: Vec<f64> = detected
-            .iter()
-            .zip(&lat_sum)
-            .map(|(&d, &ls)| if d > 0 { ls as f64 / d as f64 } else { 0.0 })
-            .collect();
+    for (sc, reps) in spec.scenarios.iter().zip(&report.lifecycles) {
+        let col = |get: fn(&FaultLifecycle) -> f64| -> Vec<f64> { reps.iter().map(get).collect() };
         table.row(vec![
             sc.name.clone(),
-            pm(&f(&injected), 0),
-            pm(&f(&detected), 0),
-            pm(&f(&masked), 0),
-            pm(&f(&silent), 0),
-            pm(&f(&hung), 0),
-            pm(&coverage, 1) + "%",
-            pm(&avf, 3),
-            pm(&lat, 1),
+            pm(&col(|l| l.injected as f64), 0),
+            pm(&col(|l| l.detected as f64), 0),
+            pm(&col(|l| l.masked as f64), 0),
+            pm(&col(|l| l.silent as f64), 0),
+            pm(&col(|l| l.hung as f64), 0),
+            pm(&col(|l| l.coverage() * 100.0), 1) + "%",
+            pm(&col(FaultLifecycle::avf), 3),
+            pm(&col(FaultLifecycle::mean_detection_latency), 1),
         ]);
     }
 
@@ -270,7 +191,7 @@ fn main() {
             opts.report_path.display()
         ),
         &table,
-        &stalls,
+        &report.stalls,
         &report.failed,
         &Throughput::default(),
     );

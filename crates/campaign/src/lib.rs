@@ -60,7 +60,8 @@ use redsim_bench::{par_map, Harness, RATE_FLAGS, SEEDS_FLAG, SHARED_FLAGS};
 pub use redsim_bench::{Job, JobError, JobErrorKind, JobFailure};
 use redsim_core::{
     ExecMode, FaultConfig, FaultLifecycle, FlightRecorder, ForwardingPolicy, Histogram,
-    Instrumentation, MachineConfig, NullMetrics, SimStats, TraceSource, WindowSample,
+    Instrumentation, MachineConfig, NullMetrics, SimStats, StallBreakdown, StallSummary,
+    TraceSource, WindowSample,
 };
 use redsim_util::flags::{Flag, FlagTable};
 use redsim_util::framed_log::{self, Appender};
@@ -399,6 +400,11 @@ pub struct CampaignReport {
     pub quarantined: Vec<JobError>,
     /// The exact report text written to `report_path`.
     pub report: String,
+    /// Fault-lifecycle sums of the successful shards, indexed by
+    /// scenario, then fault-seed replica (summed over workloads).
+    pub lifecycles: Vec<Vec<FaultLifecycle>>,
+    /// Stall accounting summed over the successful shards.
+    pub stalls: StallSummary,
     /// Flight-recorder sidecars written for hung shards (empty unless
     /// [`CampaignOptions::hang_dumps`] was set and a watchdog fired).
     pub hang_traces: Vec<PathBuf>,
@@ -408,7 +414,7 @@ pub struct CampaignReport {
 #[derive(Debug)]
 pub enum CampaignOutcome {
     /// All shards recorded; the final report was written.
-    Complete(CampaignReport),
+    Complete(Box<CampaignReport>),
     /// Stopped by `interrupt_after` with shards still pending.
     Interrupted {
         /// Shards recorded in the manifest so far.
@@ -436,6 +442,28 @@ fn lifecycle_json(l: &FaultLifecycle) -> Json {
         )
         .field("squash_depth_sum", l.squash_depth_sum)
         .field("refetch_penalty_sum", l.refetch_penalty_sum)
+}
+
+/// The inverse of [`lifecycle_json`]; a missing count reads 0.
+fn lifecycle_from_json(j: &Json) -> FaultLifecycle {
+    let g = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
+    let mut l = FaultLifecycle {
+        injected: g("injected"),
+        detected: g("detected"),
+        masked: g("masked"),
+        silent: g("silent"),
+        hung: g("hung"),
+        detection_latency_sum: g("detection_latency_sum"),
+        detection_latency_max: g("detection_latency_max"),
+        squash_depth_sum: g("squash_depth_sum"),
+        refetch_penalty_sum: g("refetch_penalty_sum"),
+        ..FaultLifecycle::default()
+    };
+    let buckets = j.get("latency_histogram").and_then(Json::items);
+    for (b, v) in l.latency_histogram.iter_mut().zip(buckets.unwrap_or(&[])) {
+        *b = v.as_u64().unwrap_or(0);
+    }
+    l
 }
 
 /// What a failed shard writes into its record: the terminal failure,
@@ -508,108 +536,121 @@ fn record_line(
     }
 }
 
-/// Aggregates the sorted record lines into the per-scenario summary
-/// embedded in the report.
-fn summary_json(spec: &CampaignSpec, records: &BTreeMap<usize, String>) -> Json {
-    struct Acc {
-        injected: u64,
-        detected: u64,
-        masked: u64,
-        silent: u64,
-        hung: u64,
-        latency_sum: u64,
-        failed: u64,
-        quarantined: u64,
-        hangs_contained: u64,
-        /// Per-window milli-IPC values across every shard of the
-        /// scenario. Bucket-wise mergeable, so the percentiles are a
-        /// pure function of the record set — byte-identical at any
-        /// thread count or interrupt/resume split.
-        ipc_hist: Histogram,
-    }
-    let mut accs: Vec<Acc> = spec
-        .scenarios
-        .iter()
-        .map(|_| Acc {
-            injected: 0,
-            detected: 0,
-            masked: 0,
-            silent: 0,
-            hung: 0,
-            latency_sum: 0,
-            failed: 0,
-            quarantined: 0,
-            hangs_contained: 0,
-            ipc_hist: Histogram::default(),
-        })
-        .collect();
-    for line in records.values() {
-        let j = Json::parse(line).expect("records we wrote parse back");
-        let si = j.get("scenario").and_then(Json::as_u64).expect("scenario") as usize;
-        let acc = &mut accs[si];
-        if j.get("ok").and_then(Json::as_bool) != Some(true) {
-            acc.failed += 1;
-            if j.get("quarantined").and_then(Json::as_bool) == Some(true) {
-                acc.quarantined += 1;
+/// Per-scenario counts beside the lifecycle sums.
+#[derive(Debug, Default)]
+struct ScenarioTally {
+    failed: u64,
+    quarantined: u64,
+    watchdog: u64,
+    /// Per-window milli-IPC values across every shard of the
+    /// scenario. Bucket-wise mergeable, so the percentiles are a
+    /// pure function of the record set — byte-identical at any
+    /// thread count or interrupt/resume split.
+    ipc_hist: Histogram,
+}
+
+/// Everything the report, the failure lists, the hang dumps and
+/// [`CampaignReport`] read, folded out of the record lines in one pass.
+#[derive(Debug)]
+struct Tally {
+    /// Scenario × replica, over the successful shards.
+    lifecycles: Vec<Vec<FaultLifecycle>>,
+    scenarios: Vec<ScenarioTally>,
+    stalls: StallSummary,
+    /// Failed shards in id order, quarantined ones included.
+    failed: Vec<JobError>,
+    quarantined: Vec<JobError>,
+    /// Ids of the shards whose watchdog fired.
+    hung: Vec<usize>,
+}
+
+impl Tally {
+    /// Parses each record once and drops its parse tree before the
+    /// next. Every record was written by [`record_line`] or passed
+    /// [`manifest::check_record`] against its shard on resume, so the
+    /// fold indexes by `shards[id]` and never by a record's own fields.
+    fn fold(spec: &CampaignSpec, shards: &[Shard], records: &BTreeMap<usize, String>) -> Tally {
+        let mut t = Tally {
+            lifecycles: vec![
+                vec![FaultLifecycle::default(); spec.seeds as usize];
+                spec.scenarios.len()
+            ],
+            scenarios: spec
+                .scenarios
+                .iter()
+                .map(|_| ScenarioTally::default())
+                .collect(),
+            stalls: StallSummary::default(),
+            failed: Vec::new(),
+            quarantined: Vec::new(),
+            hung: Vec::new(),
+        };
+        for (&id, line) in records {
+            let shard = &shards[id];
+            let j = Json::parse(line).expect("records are checked on entry");
+            debug_assert_eq!(manifest::check_record(&j, shard), Ok(()));
+            let flag = |k: &str| j.get(k).and_then(Json::as_bool) == Some(true);
+            let count = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
+            let text = |k: &str| j.get(k).and_then(Json::as_str);
+            let sc = &mut t.scenarios[shard.scenario];
+            if !flag("ok") {
+                let err = JobError {
+                    index: id,
+                    label: text("label").unwrap_or("?").to_owned(),
+                    message: text("error").unwrap_or("unrecorded error").to_owned(),
+                    kind: JobErrorKind::parse_lossy(text("ekind").unwrap_or("sim")),
+                    panic_payload: text("panic").map(str::to_owned),
+                };
+                sc.failed += 1;
+                if flag("quarantined") {
+                    sc.quarantined += 1;
+                    t.quarantined.push(err.clone());
+                }
+                t.failed.push(err);
+                continue;
             }
-            continue;
-        }
-        if j.get("watchdog_fired").and_then(Json::as_bool) == Some(true) {
-            acc.hangs_contained += 1;
-        }
-        let l = j.get("lifecycle").expect("ok records carry lifecycle");
-        let g = |k: &str| l.get(k).and_then(Json::as_u64).unwrap_or(0);
-        acc.injected += g("injected");
-        acc.detected += g("detected");
-        acc.masked += g("masked");
-        acc.silent += g("silent");
-        acc.hung += g("hung");
-        acc.latency_sum += g("detection_latency_sum");
-        if let Some(wins) = j.get("win_milli_ipc").and_then(Json::items) {
-            for w in wins {
-                acc.ipc_hist.record(w.as_u64().unwrap_or(0));
+            if flag("watchdog_fired") {
+                sc.watchdog += 1;
+                t.hung.push(id);
+            }
+            for w in j.get("win_milli_ipc").and_then(Json::items).unwrap_or(&[]) {
+                sc.ipc_hist.record(w.as_u64().unwrap_or(0));
+            }
+            t.stalls.cycles += count("cycles");
+            t.stalls.productive_cycles += count("active_commit_cycles");
+            if let Some(b) = j.get("stalls").and_then(StallBreakdown::from_json) {
+                t.stalls.stalls.add(&b);
+            }
+            if let Some(l) = j.get("lifecycle") {
+                t.lifecycles[shard.scenario][shard.rep as usize].add(&lifecycle_from_json(l));
             }
         }
+        t
     }
+}
+
+/// The per-scenario summary embedded in the report.
+fn summary_json(spec: &CampaignSpec, tally: &Tally) -> Json {
     spec.scenarios
         .iter()
-        .zip(&accs)
-        .map(|(sc, a)| {
-            let vulnerable = a.detected + a.silent;
+        .zip(&tally.scenarios)
+        .zip(&tally.lifecycles)
+        .map(|((sc, a), reps)| {
+            let mut l = FaultLifecycle::default();
+            reps.iter().for_each(|r| l.add(r));
             let mut j = Json::obj()
                 .field("scenario", sc.name.as_str())
-                .field("injected", a.injected)
-                .field("detected", a.detected)
-                .field("masked", a.masked)
-                .field("silent", a.silent)
-                .field("hung", a.hung)
-                .field(
-                    "coverage",
-                    if vulnerable > 0 {
-                        a.detected as f64 / vulnerable as f64
-                    } else {
-                        1.0
-                    },
-                )
-                .field(
-                    "avf",
-                    if a.injected > 0 {
-                        vulnerable as f64 / a.injected as f64
-                    } else {
-                        0.0
-                    },
-                )
-                .field(
-                    "mean_detection_latency",
-                    if a.detected > 0 {
-                        a.latency_sum as f64 / a.detected as f64
-                    } else {
-                        0.0
-                    },
-                )
+                .field("injected", l.injected)
+                .field("detected", l.detected)
+                .field("masked", l.masked)
+                .field("silent", l.silent)
+                .field("hung", l.hung)
+                .field("coverage", l.coverage())
+                .field("avf", l.avf())
+                .field("mean_detection_latency", l.mean_detection_latency())
                 .field("failed_shards", a.failed)
                 .field("quarantined_shards", a.quarantined)
-                .field("watchdog_shards", a.hangs_contained);
+                .field("watchdog_shards", a.watchdog);
             if a.ipc_hist.count() > 0 {
                 j = j.field(
                     "win_milli_ipc",
@@ -629,23 +670,19 @@ fn summary_json(spec: &CampaignSpec, records: &BTreeMap<usize, String>) -> Json 
 /// summary, then every record line verbatim, sorted by shard id. Pure
 /// function of the record set — hence byte-identical however the
 /// campaign was scheduled, interrupted or resumed.
-fn report_text(spec: &CampaignSpec, fingerprint: u64, records: &BTreeMap<usize, String>) -> String {
-    let mut failed = 0usize;
-    let mut quarantined = 0usize;
-    for l in records.values() {
-        let Ok(j) = Json::parse(l) else { continue };
-        if j.get("ok").and_then(Json::as_bool) != Some(true) {
-            failed += 1;
-            if j.get("quarantined").and_then(Json::as_bool) == Some(true) {
-                quarantined += 1;
-            }
-        }
-    }
+fn report_text(
+    spec: &CampaignSpec,
+    fingerprint: u64,
+    records: &BTreeMap<usize, String>,
+    tally: &Tally,
+) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\"fingerprint\":\"{fingerprint:016x}\",\"shards\":{},\"failed\":{failed},\"quarantined\":{quarantined},\"summary\":{},\"records\":[",
+        "{{\"fingerprint\":\"{fingerprint:016x}\",\"shards\":{},\"failed\":{},\"quarantined\":{},\"summary\":{},\"records\":[",
         records.len(),
-        summary_json(spec, records),
+        tally.failed.len(),
+        tally.quarantined.len(),
+        summary_json(spec, tally),
     ));
     for (i, line) in records.values().enumerate() {
         if i > 0 {
@@ -655,39 +692,6 @@ fn report_text(spec: &CampaignSpec, fingerprint: u64, records: &BTreeMap<usize, 
     }
     out.push_str("]}\n");
     out
-}
-
-/// Extracts the failed-shard list from the sorted records; the second
-/// list is the quarantined subset (also present in the first).
-fn failed_records(records: &BTreeMap<usize, String>) -> (Vec<JobError>, Vec<JobError>) {
-    let mut failed = Vec::new();
-    let mut quarantined = Vec::new();
-    for (&id, line) in records {
-        let Ok(j) = Json::parse(line) else { continue };
-        if j.get("ok").and_then(Json::as_bool) == Some(true) {
-            continue;
-        }
-        let err = JobError {
-            index: id,
-            label: j
-                .get("label")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_owned(),
-            message: j
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unrecorded error")
-                .to_owned(),
-            kind: JobErrorKind::parse_lossy(j.get("ekind").and_then(Json::as_str).unwrap_or("sim")),
-            panic_payload: j.get("panic").and_then(Json::as_str).map(str::to_owned),
-        };
-        if j.get("quarantined").and_then(Json::as_bool) == Some(true) {
-            quarantined.push(err.clone());
-        }
-        failed.push(err);
-    }
-    (failed, quarantined)
 }
 
 /// Runs (or resumes) a campaign.
@@ -723,7 +727,7 @@ pub fn run_campaign(
     }
 
     let mut done = if opts.resume {
-        manifest::load(io, &opts.progress_path, &header, shards.len())?
+        manifest::load(io, &opts.progress_path, &header, &shards)?
     } else {
         BTreeMap::new()
     };
@@ -815,7 +819,8 @@ pub fn run_campaign(
         });
     }
 
-    let report = report_text(spec, fingerprint, &done);
+    let tally = Tally::fold(spec, &shards, &done);
+    let report = report_text(spec, fingerprint, &done, &tally);
     atomic_write(
         io,
         &opts.report_path,
@@ -826,26 +831,23 @@ pub fn run_campaign(
     let mut hang_traces = Vec::new();
     if let Some(dump) = &opts.hang_dumps {
         let mut h = Harness::new(spec.quick);
-        for (&id, line) in &done {
-            let Ok(j) = Json::parse(line) else { continue };
-            if j.get("watchdog_fired").and_then(Json::as_bool) != Some(true) {
-                continue;
-            }
+        for &id in &tally.hung {
             if let Some(p) = dump_hang_trace(spec, &shards[id], opts, dump, &mut h) {
                 hang_traces.push(p);
             }
         }
     }
 
-    let (failed, quarantined) = failed_records(&done);
-    Ok(CampaignOutcome::Complete(CampaignReport {
+    Ok(CampaignOutcome::Complete(Box::new(CampaignReport {
         fingerprint,
-        records: done.values().cloned().collect(),
-        failed,
-        quarantined,
+        records: done.into_values().collect(),
+        failed: tally.failed,
+        quarantined: tally.quarantined,
         report,
+        lifecycles: tally.lifecycles,
+        stalls: tally.stalls,
         hang_traces,
-    }))
+    })))
 }
 
 /// Replays one hung shard deterministically under a flight recorder and
@@ -926,6 +928,11 @@ mod tests {
         }
     }
 
+    /// The summary JSON of `records` under `spec`.
+    fn summary(spec: &CampaignSpec, records: &BTreeMap<usize, String>) -> String {
+        summary_json(spec, &Tally::fold(spec, &spec.shards(), records)).to_string()
+    }
+
     #[test]
     fn shard_list_is_dense_and_deterministic() {
         let spec = tiny_spec();
@@ -973,16 +980,13 @@ mod tests {
 
         let mut records = BTreeMap::new();
         records.insert(0, line);
-        let summary = summary_json(&spec, &records).to_string();
-        assert!(summary.contains("\"win_milli_ipc\":{\"windows\":3,\"p50\":1500"));
+        assert!(summary(&spec, &records).contains("\"win_milli_ipc\":{\"windows\":3,\"p50\":1500"));
 
         // Without windows the summary stays metrics-free.
         let bare = record_line(&shard, "l", Ok((&stats, &[])));
         assert!(!bare.contains("win_milli_ipc"));
         records.insert(0, bare);
-        assert!(!summary_json(&spec, &records)
-            .to_string()
-            .contains("win_milli_ipc"));
+        assert!(!summary(&spec, &records).contains("win_milli_ipc"));
     }
 
     #[test]
@@ -998,12 +1002,8 @@ mod tests {
 
     #[test]
     fn failure_records_carry_the_supervision_verdict() {
-        let shard = Shard {
-            id: 3,
-            scenario: 1,
-            workload: Workload::Gzip,
-            rep: 0,
-        };
+        let spec = tiny_spec();
+        let shard = spec.shards()[3];
         let failure = JobFailure {
             kind: JobErrorKind::Panic,
             message: "panic: boom".into(),
@@ -1027,11 +1027,12 @@ mod tests {
 
         let mut records = BTreeMap::new();
         records.insert(3, line);
-        let (failed, quarantined) = failed_records(&records);
-        assert_eq!(failed.len(), 1);
-        assert_eq!(quarantined.len(), 1);
-        assert_eq!(failed[0].kind, JobErrorKind::Panic);
-        assert_eq!(failed[0].panic_payload.as_deref(), Some("boom"));
+        let tally = Tally::fold(&spec, &spec.shards(), &records);
+        assert_eq!(tally.failed.len(), 1);
+        assert_eq!(tally.quarantined.len(), 1);
+        assert_eq!(tally.failed[0].kind, JobErrorKind::Panic);
+        assert_eq!(tally.failed[0].panic_payload.as_deref(), Some("boom"));
+        assert_eq!(tally.scenarios[1].quarantined, 1);
     }
 
     #[test]
@@ -1043,8 +1044,9 @@ mod tests {
             r#"{"kind":"shard","id":0,"scenario":0,"rep":0,"label":"l","ok":false,"error":"boom"}"#
                 .to_owned(),
         );
-        let a = report_text(&spec, 7, &records);
-        let b = report_text(&spec, 7, &records);
+        let tally = Tally::fold(&spec, &spec.shards(), &records);
+        let a = report_text(&spec, 7, &records, &tally);
+        let b = report_text(&spec, 7, &records, &tally);
         assert_eq!(a, b);
         assert!(a.contains("\"failed\":1"));
         let parsed = Json::parse(a.trim_end()).expect("report is valid json");

@@ -16,7 +16,7 @@ use redsim_util::framed_log::{self, LogError};
 use redsim_util::io::Io;
 use redsim_util::Json;
 
-use crate::CampaignError;
+use crate::{CampaignError, Shard};
 
 /// Manifest format version. Bumped to 2 when record frames gained
 /// per-record checksums; a version-1 manifest fails the header match
@@ -34,11 +34,41 @@ pub fn header_line(fingerprint: u64, shards: usize) -> String {
         .to_string()
 }
 
+/// Checks a parsed shard record against the shard its id names: the
+/// record's `scenario` and `rep` must be that shard's, `ok` a boolean,
+/// and a successful record must carry its `lifecycle` object. Every
+/// record that reaches the report's fold has passed this check, so the
+/// fold indexes by the shard list and never by a record's own fields.
+///
+/// # Errors
+///
+/// The first defect found, as the manifest's corruption detail.
+pub fn check_record(j: &Json, shard: &Shard) -> Result<(), String> {
+    for (key, want) in [("scenario", shard.scenario as u64), ("rep", shard.rep)] {
+        let got = j.get(key).and_then(Json::as_u64);
+        if got != Some(want) {
+            return Err(format!(
+                "shard {} record has {key} {got:?}, expected {want}",
+                shard.id
+            ));
+        }
+    }
+    match j.get("ok").and_then(Json::as_bool) {
+        None => Err(format!("shard {} record has no boolean ok", shard.id)),
+        Some(true) if !matches!(j.get("lifecycle"), Some(Json::Obj(_))) => Err(format!(
+            "shard {} record is ok but has no lifecycle object",
+            shard.id
+        )),
+        Some(_) => Ok(()),
+    }
+}
+
 /// Loads a progress manifest into `id → verbatim payload line`. A
 /// missing manifest has no records.
 ///
-/// A shard record whose payload is not JSON or has no id is damage
-/// (tolerated only as the torn last line). A checksummed record of
+/// A shard record whose payload is not JSON, has no id, or fails
+/// [`check_record`] against `shards[id]` is damage (tolerated only as
+/// the last line, whose shard then re-runs). A checksummed record of
 /// another kind is a format extension and is skipped. Duplicate ids
 /// keep the last record, so a shard recorded again after a torn first
 /// attempt settles on the complete record.
@@ -53,7 +83,7 @@ pub fn load(
     io: &dyn Io,
     path: &Path,
     expect_header: &str,
-    shards: usize,
+    shards: &[Shard],
 ) -> Result<BTreeMap<usize, String>, CampaignError> {
     let mut done = BTreeMap::new();
     let mut out_of_range = None;
@@ -66,10 +96,14 @@ pub fn load(
             .get("id")
             .and_then(Json::as_u64)
             .ok_or("shard record has no id")? as usize;
-        if id < shards {
-            done.insert(id, payload.to_owned());
-        } else {
-            out_of_range.get_or_insert(id);
+        match shards.get(id) {
+            Some(shard) => {
+                check_record(&j, shard)?;
+                done.insert(id, payload.to_owned());
+            }
+            None => {
+                out_of_range.get_or_insert(id);
+            }
         }
         Ok(())
     })
@@ -82,7 +116,8 @@ pub fn load(
     })?;
     match out_of_range {
         Some(id) => Err(CampaignError::Mismatch(format!(
-            "record id {id} out of range for {shards} shards"
+            "record id {id} out of range for {} shards",
+            shards.len()
         ))),
         None => Ok(done),
     }
@@ -93,6 +128,19 @@ mod tests {
     use super::*;
     use redsim_util::framed_log::frame as frame_record;
     use redsim_util::io::RealIo;
+    use redsim_workloads::Workload;
+
+    /// `n` shards of scenario 0, replica 0.
+    fn shard_list(n: usize) -> Vec<Shard> {
+        (0..n)
+            .map(|id| Shard {
+                id,
+                scenario: 0,
+                workload: Workload::Gzip,
+                rep: 0,
+            })
+            .collect()
+    }
 
     /// Loads `text` as a manifest file, the way resume reads one.
     fn parse_manifest(
@@ -107,10 +155,11 @@ mod tests {
             redsim_util::hash::fx64(text.as_bytes())
         ));
         std::fs::write(&path, text).expect("write manifest");
-        load(&RealIo, &path, expect_header, shards)
+        load(&RealIo, &path, expect_header, &shard_list(shards))
     }
 
-    const REC0: &str = r#"{"kind":"shard","id":0,"scenario":0,"rep":0,"label":"l","ok":true}"#;
+    const REC0: &str =
+        r#"{"kind":"shard","id":0,"scenario":0,"rep":0,"label":"l","ok":true,"lifecycle":{}}"#;
     const REC2: &str =
         r#"{"kind":"shard","id":2,"scenario":0,"rep":0,"label":"l","ok":false,"error":"x"}"#;
 
@@ -163,8 +212,8 @@ mod tests {
     #[test]
     fn duplicate_ids_keep_the_last_record() {
         let header = header_line(1, 4);
-        let first = r#"{"kind":"shard","id":1,"ok":false,"error":"first"}"#;
-        let second = r#"{"kind":"shard","id":1,"ok":true}"#;
+        let first = r#"{"kind":"shard","id":1,"scenario":0,"rep":0,"ok":false,"error":"first"}"#;
+        let second = r#"{"kind":"shard","id":1,"scenario":0,"rep":0,"ok":true,"lifecycle":{}}"#;
         let text = format!(
             "{header}\n{}\n{}\n",
             frame_record(first),
@@ -172,6 +221,32 @@ mod tests {
         );
         let done = parse_manifest(&text, &header, 4).expect("parses");
         assert_eq!(done[&1], second);
+    }
+
+    #[test]
+    fn records_that_do_not_match_their_shard_are_damage() {
+        let header = header_line(0xabcd, 4);
+        let good = frame_record(REC2);
+        for bad in [
+            REC0.replace("\"scenario\":0", "\"scenario\":99"),
+            REC0.replace("\"rep\":0", "\"rep\":7"),
+            REC0.replace("\"ok\":true,", ""),
+            REC0.replace("\"ok\":true", "\"ok\":\"yes\""),
+            REC0.replace(",\"lifecycle\":{}", ""),
+        ] {
+            // Checksum-valid, so only the record check can refuse it.
+            let bad = frame_record(&bad);
+            match parse_manifest(&format!("{header}\n{bad}\n{good}\n"), &header, 4) {
+                Err(CampaignError::Corrupt { line: 2, detail }) => {
+                    assert!(detail.contains("shard 0"), "{detail}");
+                }
+                other => panic!("expected Corrupt at line 2 for {bad}, got {other:?}"),
+            }
+            // As the last line it is dropped, and its shard re-runs.
+            let done = parse_manifest(&format!("{header}\n{good}\n{bad}\n"), &header, 4)
+                .expect("a bad last record is skipped");
+            assert_eq!(done.keys().copied().collect::<Vec<_>>(), [2]);
+        }
     }
 
     #[test]

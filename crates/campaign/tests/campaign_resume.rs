@@ -9,7 +9,7 @@ use redsim_campaign::{
     CampaignSpec, HangDumpOptions, Scenario,
 };
 use redsim_core::{ExecMode, FaultConfig, ForwardingPolicy};
-use redsim_util::Json;
+use redsim_util::{framed_log, Json};
 use redsim_workloads::Workload;
 
 fn scenario(name: &str, mode: ExecMode, faults: FaultConfig) -> Scenario {
@@ -63,7 +63,7 @@ fn opts(dir: &str, threads: usize) -> CampaignOptions {
 
 fn complete(outcome: CampaignOutcome) -> CampaignReport {
     match outcome {
-        CampaignOutcome::Complete(r) => r,
+        CampaignOutcome::Complete(r) => *r,
         CampaignOutcome::Interrupted { completed, total } => {
             panic!("expected completion, interrupted at {completed}/{total}")
         }
@@ -279,4 +279,84 @@ fn livelocked_shard_is_classified_as_hang_by_the_watchdog() {
     let trace2 =
         std::fs::read_to_string(hang_trace_path(&o2.report_path, 0)).expect("second sidecar");
     assert_eq!(trace, trace2, "sidecar bytes are thread-count invariant");
+}
+
+/// Four shards (two scenarios × gzip × two replicas) for the defect
+/// tests below.
+fn defect_spec() -> CampaignSpec {
+    CampaignSpec {
+        workloads: vec![Workload::Gzip],
+        metrics_window: None,
+        ..small_spec()
+    }
+}
+
+/// A named edit of a parsed record.
+type Defect = (&'static str, fn(&mut Json));
+
+/// Record defects a checksum cannot see: each edit re-frames the
+/// record, so only the check against the shard its id names refuses it.
+fn record_defects() -> [Defect; 4] {
+    fn drop_field(j: &mut Json, key: &str) {
+        if let Json::Obj(fields) = j {
+            fields.retain(|(k, _)| k != key);
+        }
+    }
+    [
+        ("a foreign scenario", |j| {
+            let s = j.get("scenario").and_then(Json::as_u64).expect("scenario");
+            j.set("scenario", s + 1).expect("object");
+        }),
+        ("a foreign rep", |j| {
+            let r = j.get("rep").and_then(Json::as_u64).expect("rep");
+            j.set("rep", r ^ 1).expect("object");
+        }),
+        ("no ok", |j| drop_field(j, "ok")),
+        ("ok without a lifecycle", |j| drop_field(j, "lifecycle")),
+    ]
+}
+
+/// Runs the first two shards of `defect_spec`, then rewrites manifest
+/// line `line` (1-based; the header is line 1) with `defect` applied
+/// and a valid checksum.
+fn manifest_with_defect(dir: &str, line: usize, defect: fn(&mut Json)) -> CampaignOptions {
+    let mut o = opts(dir, 1);
+    o.interrupt_after = Some(2);
+    run_campaign(&defect_spec(), &o).expect("interrupted run");
+    let text = std::fs::read_to_string(&o.progress_path).expect("manifest");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    assert_eq!(lines.len(), 3, "header and two records");
+    let payload = framed_log::unframe(&lines[line - 1]).expect("valid frame");
+    let mut rec = Json::parse(payload).expect("record parses");
+    defect(&mut rec);
+    lines[line - 1] = framed_log::frame(&rec.to_string());
+    std::fs::write(&o.progress_path, lines.join("\n") + "\n").expect("rewrite manifest");
+    o.interrupt_after = None;
+    o.resume = true;
+    o
+}
+
+#[test]
+fn a_bad_interior_record_is_typed_corruption_naming_its_line() {
+    for (i, (what, defect)) in record_defects().into_iter().enumerate() {
+        let o = manifest_with_defect(&format!("bad-interior-{i}"), 2, defect);
+        match run_campaign(&defect_spec(), &o) {
+            Err(CampaignError::Corrupt { line: 2, detail }) => {
+                assert!(detail.contains("shard 0"), "{what}: {detail}");
+            }
+            other => panic!("{what}: expected Corrupt at line 2, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_bad_last_record_reruns_its_shard() {
+    let spec = defect_spec();
+    let clean = complete(run_campaign(&spec, &opts("bad-tail-clean", 1)).expect("clean run"));
+    for (i, (what, defect)) in record_defects().into_iter().enumerate() {
+        let o = manifest_with_defect(&format!("bad-tail-{i}"), 3, defect);
+        let resumed = complete(run_campaign(&spec, &o).expect("a bad last record re-runs"));
+        assert_eq!(resumed.report, clean.report, "{what}");
+        assert_eq!(resumed.lifecycles, clean.lifecycles, "{what}");
+    }
 }

@@ -53,7 +53,7 @@ fn opts(dir: &str, threads: usize) -> CampaignOptions {
 
 fn complete(outcome: CampaignOutcome) -> CampaignReport {
     match outcome {
-        CampaignOutcome::Complete(r) => r,
+        CampaignOutcome::Complete(r) => *r,
         CampaignOutcome::Interrupted { completed, total } => {
             panic!("expected completion, interrupted at {completed}/{total}")
         }

@@ -98,7 +98,7 @@ impl Error for FaultConfigError {}
 impl FaultConfig {
     /// No faults.
     #[must_use]
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         FaultConfig {
             fu_rate: 0.0,
             forward_rate: 0.0,
@@ -333,6 +333,28 @@ impl FaultLifecycle {
         self.injected == self.detected + self.masked + self.silent + self.hung
     }
 
+    /// Accumulates another run's lifecycle into this one: every count
+    /// and sum adds, the latency maximum takes the larger, and the
+    /// histograms add bucket by bucket.
+    pub fn add(&mut self, other: &FaultLifecycle) {
+        self.injected += other.injected;
+        self.detected += other.detected;
+        self.masked += other.masked;
+        self.silent += other.silent;
+        self.hung += other.hung;
+        self.detection_latency_sum += other.detection_latency_sum;
+        self.detection_latency_max = self.detection_latency_max.max(other.detection_latency_max);
+        for (b, o) in self
+            .latency_histogram
+            .iter_mut()
+            .zip(&other.latency_histogram)
+        {
+            *b += o;
+        }
+        self.squash_depth_sum += other.squash_depth_sum;
+        self.refetch_penalty_sum += other.refetch_penalty_sum;
+    }
+
     /// Mean detection latency over detected faults.
     #[must_use]
     pub fn mean_detection_latency(&self) -> f64 {
@@ -345,11 +367,12 @@ impl FaultLifecycle {
 
     /// Fraction of architecturally visible faults (detected + silent)
     /// that were detected — the coverage a redundancy scheme claims.
+    /// With no visible fault nothing escaped, so coverage is 1.
     #[must_use]
     pub fn coverage(&self) -> f64 {
         let visible = self.detected + self.silent;
         if visible == 0 {
-            0.0
+            1.0
         } else {
             self.detected as f64 / visible as f64
         }
@@ -695,6 +718,33 @@ mod tests {
         assert!((l.mean_detection_latency() - 15.0).abs() < 1e-12);
         assert!((l.coverage() - 0.5).abs() < 1e-12);
         assert!((l.avf() - 2.0 / 3.0).abs() < 1e-12);
+
+        // Two runs add up; the latency maximum stays a maximum.
+        let mut sum = l;
+        sum.add(&FaultLifecycle {
+            injected: 1,
+            detected: 1,
+            detection_latency_sum: 4,
+            detection_latency_max: 4,
+            ..FaultLifecycle::default()
+        });
+        assert_eq!((sum.injected, sum.detected, sum.silent), (4, 2, 1));
+        assert_eq!(sum.detection_latency_sum, 19);
+        assert_eq!(sum.detection_latency_max, 15);
+        assert!(sum.conservation_holds());
+        assert_eq!(sum.latency_histogram.iter().sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn nothing_visible_means_full_coverage() {
+        let masked_only = FaultLifecycle {
+            injected: 3,
+            masked: 3,
+            ..FaultLifecycle::default()
+        };
+        assert_eq!(masked_only.coverage(), 1.0);
+        assert_eq!(masked_only.avf(), 0.0);
+        assert_eq!(FaultLifecycle::default().coverage(), 1.0);
     }
 
     #[test]

@@ -225,6 +225,13 @@ pub struct StallBreakdown {
     pub frontend_empty: u64,
     /// Oldest unretired copy was waiting on operands (data
     /// dependences, including loads feeding it).
+    ///
+    /// Cannot fire under the committed-path model: the copy's producers
+    /// are older, so they retired in an earlier cycle (a retirement in
+    /// this cycle makes it productive, and commit runs first in each
+    /// cycle), and each one broadcast its result at writeback, which
+    /// woke the copy, before it could retire. The field stays because
+    /// the report and figure JSON carry it.
     pub waiting_deps: u64,
     /// Oldest copy was ready but the previous cycle's issue bandwidth
     /// was exhausted before reaching it.
@@ -237,8 +244,17 @@ pub struct StallBreakdown {
     pub irb_port: u64,
     /// Oldest copy was in flight (functional-unit or memory latency).
     pub execution: u64,
-    /// Oldest copy was done but retirement was blocked (commit width,
-    /// D-cache store port, or an unfinished pair partner).
+    /// The head was done but could not retire, or its pair partner was
+    /// not in the RUU. An unfinished partner is charged by its own
+    /// state instead.
+    ///
+    /// Cannot fire on a machine that retires at all. Dispatch inserts a
+    /// pair's two copies together, so the partner is always present.
+    /// Commit runs first in each cycle with the whole commit width and
+    /// a free D-cache port, so a done head retires (or rewinds) unless
+    /// something already retired this cycle, and that cycle is
+    /// productive. Only a dual-mode machine with commit width 1, which
+    /// never retires a pair, charges it.
     pub commit_blocked: u64,
     /// A DIE pair mismatch rewound the head pair this cycle.
     pub rewind: u64,

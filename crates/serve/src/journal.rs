@@ -91,7 +91,8 @@ pub fn compact(io: &dyn Io, path: &Path, state: &JournalState, sync: bool) -> io
 /// Loads a journal, tolerating a torn tail and refusing interior
 /// damage. A missing file is an empty state. A result without its job
 /// record cannot occur under the append discipline (the job record is
-/// acknowledged first), so it is reported as corruption.
+/// acknowledged first), so it is reported as corruption, as is a job
+/// id of `u64::MAX`, which the engine never assigns.
 ///
 /// # Errors
 ///
@@ -126,6 +127,12 @@ fn parse_record(payload: &str, state: &mut JournalState) -> Result<(), String> {
     match j.get("kind").and_then(Json::as_str) {
         Some("job") => {
             let id = id(&j)?;
+            // The engine assigns ids upward from 0 and never this one:
+            // the id after it would wrap to 0 and reuse an acknowledged
+            // job's id.
+            if id == u64::MAX {
+                return Err(format!("job id {id} is out of range"));
+            }
             let spec = j.get("spec").ok_or("job record has no spec")?;
             let spec = JobSpec::parse(spec).map_err(|e| e.to_string())?;
             state.specs.insert(id, spec);
@@ -215,6 +222,33 @@ mod tests {
             Err(ServeError::Corrupt { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_job_id_of_u64_max_is_damage() {
+        let path = tmp("max-id");
+        let max = framed_log::frame(&job_record(
+            u64::MAX,
+            &JobSpec::new(Workload::Mcf, ExecMode::Sie),
+        ));
+        let zero = framed_log::frame(&job_record(0, &JobSpec::new(Workload::Gcc, ExecMode::Sie)));
+        let header = header_line();
+
+        // Interior: refused with the line, never a wrapped next id.
+        std::fs::write(&path, format!("{header}\n{max}\n{zero}\n")).expect("write");
+        match load(&RealIo, &path) {
+            Err(ServeError::Corrupt { line, detail }) => {
+                assert_eq!(line, 2);
+                assert!(detail.contains("out of range"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+
+        // Last line: skipped like a torn one, so ids continue after 0.
+        std::fs::write(&path, format!("{header}\n{zero}\n{max}\n")).expect("write");
+        let loaded = load(&RealIo, &path).expect("a bad tail is skipped");
+        assert_eq!(loaded.specs.keys().copied().collect::<Vec<_>>(), [0]);
+        assert_eq!(loaded.next_id, 1);
     }
 
     #[test]

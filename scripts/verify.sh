@@ -7,8 +7,11 @@
 # zero external dependencies).
 #
 #   scripts/verify.sh               # everything
+#   scripts/verify.sh checks        # fmt, clippy, rustdoc, build, tests
 #   scripts/verify.sh bench-smoke   # only the golden/threads smoke
 #                                   # (assumes a release build exists)
+#
+# An unknown step name prints the step list and exits 2.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +36,7 @@ bench_smoke() {
     local fig
     # Every figure binary must have a golden, so a new figure cannot
     # skip the byte-compare below.
-    for fig in crates/bench/src/bin/*.rs; do
+    for fig in crates/bench/src/bin/*.rs crates/campaign/src/bin/*.rs; do
         local name
         name=$(basename "$fig" .rs)
         if [ ! -f "results/quick/$name.json" ]; then
@@ -576,80 +579,39 @@ benchmark_build() {
         --manifest-path benchmark/Cargo.toml --lib
 }
 
-if [ "${1:-}" = "benchmark-build" ]; then
-    benchmark_build
-    echo "OK: benchmark build passed"
-    exit 0
+checks() {
+    run cargo fmt --all -- --check
+    run cargo clippy --offline --workspace --all-targets -- -D warnings
+    run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+    run cargo build --offline --release --workspace
+    run cargo test --offline --workspace -q
+}
+
+# Every step, in the order a full run takes them.
+steps="checks flags-smoke trace-smoke trace-file-smoke metrics-smoke campaign-smoke
+chaos-smoke serve-smoke attribution-smoke bench-smoke benchmark-build"
+
+if [ $# -gt 1 ]; then
+    echo "usage: scripts/verify.sh [step]; steps:" $steps >&2
+    exit 2
+fi
+if [ $# -eq 1 ]; then
+    case "$1" in
+        checks | flags-smoke | trace-smoke | trace-file-smoke | metrics-smoke | \
+        campaign-smoke | chaos-smoke | serve-smoke | attribution-smoke | bench-smoke | \
+        benchmark-build)
+            "${1//-/_}"
+            echo "OK: $1 passed"
+            exit 0
+            ;;
+        *)
+            echo "unknown step '$1'; steps:" $steps >&2
+            exit 2
+            ;;
+    esac
 fi
 
-if [ "${1:-}" = "flags-smoke" ]; then
-    flags_smoke
-    echo "OK: flags smoke passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "serve-smoke" ]; then
-    serve_smoke
-    echo "OK: serve smoke passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "attribution-smoke" ]; then
-    attribution_smoke
-    echo "OK: attribution smoke passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "bench-smoke" ]; then
-    bench_smoke
-    echo "OK: bench smoke passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "campaign-smoke" ]; then
-    campaign_smoke
-    echo "OK: campaign smoke passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "chaos-smoke" ]; then
-    chaos_smoke
-    echo "OK: chaos smoke passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "trace-smoke" ]; then
-    trace_smoke
-    echo "OK: trace smoke passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "trace-file-smoke" ]; then
-    trace_file_smoke
-    echo "OK: trace-file smoke passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "metrics-smoke" ]; then
-    metrics_smoke
-    echo "OK: metrics smoke passed"
-    exit 0
-fi
-
-run cargo fmt --all -- --check
-run cargo clippy --offline --workspace --all-targets -- -D warnings
-run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
-run cargo build --offline --release --workspace
-run cargo test --offline --workspace -q
-flags_smoke
-trace_smoke
-trace_file_smoke
-metrics_smoke
-campaign_smoke
-chaos_smoke
-serve_smoke
-attribution_smoke
-bench_smoke
-benchmark_build
-
+for step in $steps; do
+    "${step//-/_}"
+done
 echo "OK: all checks passed"

@@ -14,9 +14,10 @@
 
 use redsim::core::{
     EventLog, ExecMode, FaultConfig, Instrumentation, MachineConfig, NullMetrics, SimStats,
-    Simulator, TraceEvent, Tracer,
+    Simulator, StallBreakdown, TraceEvent, Tracer,
 };
 use redsim::isa::Program;
+use redsim::workloads::Workload;
 use redsim_util::Rng;
 
 mod programs;
@@ -95,6 +96,62 @@ fn attribution_survives_fault_injection_and_rewinds() {
         rewind_stalls > 0,
         "{mismatches} mismatches produced no rewind-attributed stall cycles"
     );
+}
+
+#[test]
+fn every_cause_that_can_fire_does() {
+    // Six causes fire on real workloads; `waiting_deps` and
+    // `commit_blocked` cannot under the committed-path model (see
+    // `StallBreakdown`), and this pins that too.
+    let run = |w: Workload, cfg: MachineConfig, mode, faults| {
+        let program = w.program(w.tiny_params()).expect("workload builds");
+        Simulator::new(cfg, mode)
+            .try_with_faults(faults)
+            .expect("valid fault configuration")
+            .run_program(&program)
+            .expect("run completes")
+    };
+    let faults = FaultConfig {
+        fu_rate: 2e-3,
+        seed: 5,
+        ..FaultConfig::none()
+    };
+    let mut total = StallBreakdown::default();
+    for mode in ALL_MODES {
+        let s = run(
+            Workload::Gzip,
+            MachineConfig::paper_baseline(),
+            mode,
+            faults,
+        );
+        assert_conserves(&s, &format!("gzip {mode:?}"));
+        total.add(&s.stalls);
+    }
+    // Issue-width saturation ahead of a ready head needs the narrow
+    // machine: the DIE-IRB primary-first policy can fill the width with
+    // primaries while the head's duplicate waits.
+    let s = run(
+        Workload::Ammp,
+        MachineConfig::tiny(),
+        ExecMode::DieIrb,
+        FaultConfig::none(),
+    );
+    assert_conserves(&s, "ammp tiny DieIrb");
+    total.add(&s.stalls);
+
+    let fired = [
+        ("frontend_empty", total.frontend_empty),
+        ("issue_starved", total.issue_starved),
+        ("fu_contention", total.fu_contention),
+        ("irb_port", total.irb_port),
+        ("execution", total.execution),
+        ("rewind", total.rewind),
+    ];
+    for (cause, n) in fired {
+        assert!(n > 0, "{cause} never fired: {total:?}");
+    }
+    assert_eq!(total.waiting_deps, 0, "{total:?}");
+    assert_eq!(total.commit_blocked, 0, "{total:?}");
 }
 
 #[test]
